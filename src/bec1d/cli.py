@@ -7,8 +7,8 @@ same configuration and base seed; wall time and timestamps live only in the
 metadata sidecar written next to the result file.
 
 Exit codes: 0 success, 2 usage error, 3 numeric failure in an analytic
-column, 4 I/O failure. Per-trial numeric failures never abort a sweep; they
-are counted in the row's failure column.
+column, 4 I/O failure. A trial's DomainError or ConvergenceError never aborts a
+sweep but counts in the row's failure column; any other exception propagates.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .thermodynamics import (
 )
 
 _COMMANDS = ("ids", "thermo", "correlate", "hierarchy", "orderstats", "localize")
-_TRIAL_ERRORS = (ConvergenceError, DomainError, FloatingPointError, ValueError)
+_TRIAL_ERRORS = (ConvergenceError, DomainError)
 
 
 class UsageError(Exception):

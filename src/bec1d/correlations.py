@@ -33,10 +33,10 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .errors import ConvergenceError, DomainError
+from .numerics import EXP_CUTOFF, _bose_factor, _bose_occupations
 from .poisson_geometry import IntervalPartition
 from .spectrum import C, ModelParams
 from .thermodynamics import (
-    _occupations,
     _q_max,
     _table,
     _require_below_ground,
@@ -80,7 +80,7 @@ def kernel_finite(partition: IntervalPartition, beta: float, mu: float, r: float
     r = abs(float(r))
     table = _table(partition, beta)
     _require_below_ground(mu, table.ground_energy)
-    occ = _occupations(table.energies, beta, mu)
+    occ = _bose_occupations(beta * (table.energies - mu))
     keep = table.lengths > r
     if not np.any(keep):
         return 0.0
@@ -92,27 +92,20 @@ def kernel_finite(partition: IntervalPartition, beta: float, mu: float, r: float
     return float((occ * weights).sum()) / partition.total_length
 
 
-def _bose(q: float, beta: float, mu: float) -> float:
-    x = beta * (q * q - mu)
-    if x > 745.0:
-        return 0.0
-    return math.exp(-x) / (-math.expm1(-x))
-
-
 def _limit_integrand(q: float, intensity: float, beta: float, mu: float, r: float) -> float:
     """Integrand of the exact limit kernel with e^{-lam r} factored out."""
     if q <= 0.0:
         return 0.0
-    f = _bose(q, beta, mu)
+    f = _bose_factor(beta * (q * q - mu))
     if f == 0.0:
         return 0.0
     m = C * intensity / q
     y = q * r / C
     u = y - math.floor(y)
     t = m * (1.0 - u)
-    if t > 745.0:
+    if t > EXP_CUTOFF:
         return 0.0
-    w = math.exp(-m) if m < 745.0 else 0.0
+    w = math.exp(-m) if m < EXP_CUTOFF else 0.0
     one_minus_w = -math.expm1(-m)
     phase = math.pi * y
     bracket = math.cos(phase) * (w / (one_minus_w * one_minus_w) + (1.0 - u) / one_minus_w)
@@ -140,13 +133,13 @@ def _series_term(s: int, intensity: float, beta: float, mu: float, r: float, qma
     def integrand(q: float) -> float:
         if q <= 0.0:
             return 0.0
-        f = _bose(q, beta, mu)
+        f = _bose_factor(beta * (q * q - mu))
         if f == 0.0:
             return 0.0
         m = C * intensity / q
         y = q * r / C
         t = m * (s - y)
-        if t > 745.0:
+        if t > EXP_CUTOFF:
             return 0.0
         phase = _SQRT2 * q * r
         return math.exp(-t) * ((s - y) * math.cos(phase) + math.sin(phase) / math.pi) / (q * q) * f
@@ -244,13 +237,10 @@ def free_kernel(beta: float, mu: float, r: float) -> float:
     if not np.isfinite(mu) or mu >= 0:
         raise DomainError(f"the free kernel needs mu < 0, got {mu}")
     r = abs(float(r))
-    kmax = math.sqrt(2.0 * 745.0 / beta)
+    kmax = math.sqrt(2.0 * EXP_CUTOFF / beta)
 
     def integrand(k: float) -> float:
-        x = beta * (0.5 * k * k - mu)
-        if x > 745.0:
-            return 0.0
-        return math.exp(-x) / (-math.expm1(-x)) / math.pi
+        return _bose_factor(beta * (0.5 * k * k - mu)) / math.pi
 
     if r == 0.0:
         val, _ = quad(integrand, 0.0, kmax, limit=400, epsabs=1e-14, epsrel=1e-12)

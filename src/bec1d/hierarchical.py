@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
+from .numerics import _bose_occupations, _log_newton
 from .spectrum import C, C_SQUARED, TAIL_EXPONENT
 
-_MAX_BISECTIONS = 300
 _MU_TOLERANCE = 1e-14
 
 
@@ -125,9 +125,16 @@ def _tower_occupations(length: float, beta: float, mu: float) -> np.ndarray:
     e_max = max(ground, mu) + TAIL_EXPONENT / beta
     s_max = max(1, int(length * math.sqrt(e_max) / C) + 1)
     modes = np.arange(1, s_max + 1, dtype=float)
-    x = beta * ((C * modes / length) ** 2 - mu)
-    with np.errstate(over="ignore"):
-        return np.where(x > 745.0, 0.0, 1.0 / np.expm1(np.minimum(x, 745.0)))
+    return _bose_occupations(beta * ((C * modes / length) ** 2 - mu))
+
+
+def _layout_density(layout: HierarchicalLayout, beta: float, mu: float) -> tuple[float, float]:
+    """Density of the layout and its mu-derivative beta * sum n(n+1) / L."""
+    large = _tower_occupations(layout.large_length, beta, mu)
+    small = _tower_occupations(layout.small_length, beta, mu)
+    count = large.sum() * layout.large_count + small.sum() * layout.small_count
+    slope = large @ (large + 1.0) * layout.large_count + small @ (small + 1.0) * layout.small_count
+    return float(count) / layout.total_length, beta * float(slope) / layout.total_length
 
 
 def hierarchical_density(layout: HierarchicalLayout, beta: float, mu: float) -> float:
@@ -137,9 +144,7 @@ def hierarchical_density(layout: HierarchicalLayout, beta: float, mu: float) -> 
     ground = layout.ground_energy
     if not np.isfinite(mu) or mu >= ground:
         raise DomainError(f"mu must lie below the ground energy {ground:g}, got {mu}")
-    large = _tower_occupations(layout.large_length, beta, mu).sum() * layout.large_count
-    small = _tower_occupations(layout.small_length, beta, mu).sum() * layout.small_count
-    return float(large + small) / layout.total_length
+    return _layout_density(layout, beta, mu)[0]
 
 
 def hierarchical_critical_density(intensity: float, beta: float) -> float:
@@ -155,48 +160,21 @@ def hierarchical_critical_density(intensity: float, beta: float) -> float:
     scale = beta * (C / intensity) ** 2
     s_max = max(4, int(math.sqrt(TAIL_EXPONENT / scale)) + 2)
     s = np.arange(1, s_max + 1, dtype=float)
-    x = scale * s * s
-    with np.errstate(over="ignore"):
-        terms = np.where(x > 745.0, 0.0, 1.0 / np.expm1(np.minimum(x, 745.0)))
-    return intensity * float(terms.sum())
+    return intensity * float(_bose_occupations(scale * s * s).sum())
 
 
 def solve_mu_hierarchical(layout: HierarchicalLayout, beta: float, rho: float) -> float:
-    """Chemical potential below the layout's ground energy matching density rho."""
+    """Chemical potential below the layout's ground energy matching density rho.
+
+    Newton in ln(ground - mu), slope beta * sum n(n+1) from the same tower
+    occupations n; it stops on a sign-verified bracket of width 1e-14 * max(1, |mu|).
+    """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    ground = layout.ground_energy
-
-    def dens(mu: float) -> float:
-        return hierarchical_density(layout, beta, mu)
-
-    gap = max(1e-6 / (layout.total_length * beta * rho), 8.0 * np.finfo(float).eps * abs(ground))
-    hi = ground - gap
-    for _ in range(80):
-        if dens(hi) >= rho:
-            break
-        gap *= 0.125
-        hi = ground - gap
-    else:
-        raise ConvergenceError("could not bracket mu below the ground energy", (hi, ground))
-    lo = ground - 1.0 / beta
-    for _ in range(_MAX_BISECTIONS):
-        if dens(lo) < rho:
-            break
-        lo = ground - 2.0 * (ground - lo)
-    else:
-        raise ConvergenceError("no lower bracket for mu", (lo, hi))
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if dens(mid) < rho:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _MU_TOLERANCE * max(1.0, abs(mid)):
-            return 0.5 * (lo + hi)
-    raise ConvergenceError("hierarchical mu bisection did not converge", (lo, hi))
+    return _log_newton(lambda mu: _layout_density(layout, beta, mu), rho, 1.0 / beta,
+                       _MU_TOLERANCE, anchor=layout.ground_energy)
 
 
 def solve_type2_coefficient(intensity: float, beta: float, rho: float) -> float:
@@ -204,7 +182,8 @@ def solve_type2_coefficient(intensity: float, beta: float, rho: float) -> float:
 
     The unique A > 0 with rho - rho_c = sum_s 1/(beta intensity C^2 (s^2-1) + A);
     the ground-state term is 1/A and the condensate splits over the whole
-    tower. Only defined above the critical density.
+    tower. Only defined above the critical density. Newton in ln A from
+    A = 1/(rho - rho_c) stops on a sign-verified bracket of width 1e-14 * max(1, A).
     """
     rho_c = hierarchical_critical_density(intensity, beta)
     target = rho - rho_c
@@ -215,30 +194,13 @@ def solve_type2_coefficient(intensity: float, beta: float, rho: float) -> float:
     base = b * (s * s - 1.0)
     s_tail = 100000.5
 
-    def total(a: float) -> float:
-        head = float(np.sum(1.0 / (base + a)))
+    def total(a: float) -> tuple[float, float]:
+        terms = 1.0 / (base + a)
         tail = 1.0 / (b * s_tail) - (a - b) / (3.0 * b * b * s_tail**3)
-        return head + tail
+        slope = -float(terms @ terms) - 1.0 / (3.0 * b * b * s_tail**3)
+        return float(np.sum(terms)) + tail, slope
 
-    lo = 1e-12
-    if total(lo) < target:
-        raise ConvergenceError("type2 coefficient bracket failed low", (0.0, lo))
-    hi = max(1.0, b)
-    for _ in range(200):
-        if total(hi) < target:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError("type2 coefficient bracket failed high", (lo, hi))
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if total(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, mid):
-            return 0.5 * (lo + hi)
-    raise ConvergenceError("type2 coefficient bisection did not converge", (lo, hi))
+    return _log_newton(total, target, 1.0 / target, 1e-14, sign=1.0)
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from .numerics import _bose_occupations
 from .poisson_geometry import IntervalPartition, poisson_lengths
 from .rng import trial_rng
 from .spectrum import C, C_SQUARED
-from .thermodynamics import _occupations, _solve_mu_on_table, _table
+from .thermodynamics import _solve_mu_on_table, _table
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,7 @@ def ground_state_share(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     table = _table(partition, beta, extra_cutoff=epsilon)
     mu = _solve_mu_on_table(table, beta, rho)
-    occ = _occupations(table.energies, beta, mu)
+    occ = _bose_occupations(beta * (table.energies - mu))
     window = table.energies < epsilon
     n_window = int(np.count_nonzero(window))
     top_two = np.partition(partition.lengths, partition.lengths.size - 2)[-2:] \

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .rng import as_generator
 
 # Euler-Mascheroni constant, stored as a literal to keep the module free of
@@ -132,7 +133,7 @@ def poisson_lengths(intensity: float, total_length: float, rng: np.random.Genera
     """Interval lengths of one Poisson impurity configuration (internal driver path)."""
     mean_count = intensity * total_length
     if mean_count > 2.0**62:
-        raise ValueError(f"expected impurity count {mean_count:g} exceeds integer range")
+        raise DomainError(f"expected impurity count {mean_count:g} exceeds integer range")
     count = int(rng.poisson(mean_count))
     while True:
         pts = rng.random(count)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .numerics import EXP_CUTOFF
 from .poisson_geometry import IntervalPartition
 
 #: Spectral constant: E_s(L) = (C s / L)^2.
@@ -158,7 +159,7 @@ def levels_below(partition: IntervalPartition, energy_cutoff: float) -> list[Spe
 
 def _tail_weight(energy: float) -> float:
     """exp(-energy), flushed to zero below the representable range."""
-    return math.exp(-energy) if energy < 745.0 else 0.0
+    return math.exp(-energy) if energy < EXP_CUTOFF else 0.0
 
 
 def ids_limit(params: ModelParams, energy: float) -> float:

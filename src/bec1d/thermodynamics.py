@@ -20,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
+from .numerics import EXP_CUTOFF, _bose_factor, _bose_occupations, _log_newton
 from .poisson_geometry import IntervalPartition
 from .spectrum import C, TAIL_EXPONENT, LevelTable, ModelParams, build_level_table
 
 _QUAD_OPTS = dict(limit=400, epsabs=1e-13, epsrel=1e-12)
-_MAX_BISECTIONS = 200
 _MU_TOLERANCE = 1e-12
 
 
@@ -59,12 +59,6 @@ class CondensateReport:
     mu_limit: float
 
 
-def _occupations(energies: np.ndarray, beta: float, mu: float) -> np.ndarray:
-    x = beta * (energies - mu)
-    with np.errstate(over="ignore"):
-        return np.where(x > 745.0, 0.0, 1.0 / np.expm1(np.minimum(x, 745.0)))
-
-
 def _table(partition: IntervalPartition, beta: float, extra_cutoff: float = 0.0) -> LevelTable:
     ground = (C / partition.lengths.max()) ** 2
     return build_level_table(partition, max(ground + TAIL_EXPONENT / beta, extra_cutoff))
@@ -94,14 +88,7 @@ def density_finite(partition: IntervalPartition, beta: float, mu: float) -> floa
     """Grand-canonical particle density of one partition."""
     table = _table(partition, beta)
     _require_below_ground(mu, table.ground_energy)
-    return float(_occupations(table.energies, beta, mu).sum()) / partition.total_length
-
-
-def _bose_factor(x: float) -> float:
-    """1 / (e^x - 1) for x > 0, stable against overflow and small-x cancellation."""
-    if x > 745.0:
-        return 0.0
-    return math.exp(-x) / (-math.expm1(-x))
+    return float(_bose_occupations(beta * (table.energies - mu)).sum()) / partition.total_length
 
 
 def _ids_weight_q(q: float, intensity: float) -> float:
@@ -109,7 +96,7 @@ def _ids_weight_q(q: float, intensity: float) -> float:
     if q <= 0.0:
         return 0.0
     y = C * intensity / q
-    if y > 745.0:
+    if y > EXP_CUTOFF:
         return 0.0
     w = math.exp(-y)
     d = -math.expm1(-y)
@@ -117,7 +104,7 @@ def _ids_weight_q(q: float, intensity: float) -> float:
 
 
 def _q_max(beta: float, mu: float) -> float:
-    top = 745.0 / beta + max(mu, 0.0)
+    top = EXP_CUTOFF / beta + max(mu, 0.0)
     return math.sqrt(max(top, 1e-6))
 
 
@@ -126,12 +113,8 @@ def _interior_points(beta: float, mu: float, qmax: float) -> list[float]:
     return [p for p in (knee, math.sqrt(1.0 / beta)) if 0.0 < p < qmax]
 
 
-def pressure_limit(params: ModelParams, beta: float, mu: float) -> float:
-    """Self-averaged pressure, -(1/beta) * integral of N'(E) ln(1 - e^{-beta(E-mu)})."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if not np.isfinite(mu) or mu >= 0:
-        raise DomainError(f"the limit pressure needs mu < 0, got {mu}")
+def _limit_integral(params: ModelParams, beta: float, mu: float, weight) -> float:
+    """Integral of the limiting density of states against weight(E - mu), over E = q^2."""
     lam = params.intensity
     qmax = _q_max(beta, mu)
 
@@ -139,13 +122,24 @@ def pressure_limit(params: ModelParams, beta: float, mu: float) -> float:
         w = _ids_weight_q(q, lam)
         if w == 0.0:
             return 0.0
-        x = beta * (q * q - mu)
-        if x > 745.0:
-            return 0.0
-        return w * math.log(-math.expm1(-x))
+        return w * weight(q * q - mu)
 
     val, _ = quad(integrand, 0.0, qmax, points=_interior_points(beta, mu, qmax), **_QUAD_OPTS)
-    return -val / beta
+    return val
+
+
+def pressure_limit(params: ModelParams, beta: float, mu: float) -> float:
+    """Self-averaged pressure, -(1/beta) * integral of N'(E) ln(1 - e^{-beta(E-mu)})."""
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    if not np.isfinite(mu) or mu >= 0:
+        raise DomainError(f"the limit pressure needs mu < 0, got {mu}")
+
+    def log_weight(e: float) -> float:
+        x = beta * e
+        return 0.0 if x > EXP_CUTOFF else math.log(-math.expm1(-x))
+
+    return -_limit_integral(params, beta, mu, log_weight) / beta
 
 
 def density_limit(params: ModelParams, beta: float, mu: float) -> float:
@@ -154,17 +148,7 @@ def density_limit(params: ModelParams, beta: float, mu: float) -> float:
         raise ValueError("beta must be positive")
     if not np.isfinite(mu) or mu > 0:
         raise DomainError(f"the limit density needs mu <= 0, got {mu}")
-    lam = params.intensity
-    qmax = _q_max(beta, mu)
-
-    def integrand(q: float) -> float:
-        w = _ids_weight_q(q, lam)
-        if w == 0.0:
-            return 0.0
-        return w * _bose_factor(beta * (q * q - mu))
-
-    val, _ = quad(integrand, 0.0, qmax, points=_interior_points(beta, mu, qmax), **_QUAD_OPTS)
-    return val
+    return _limit_integral(params, beta, mu, lambda e: _bose_factor(beta * e))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -182,7 +166,7 @@ def critical_density(params: ModelParams, beta: float) -> float:
 def _bose_derivative_weight(energy: float, beta: float) -> float:
     """beta e^{beta E} / (e^{beta E} - 1)^2, written in underflow-safe form."""
     x = beta * energy
-    if x > 745.0:
+    if x > EXP_CUTOFF:
         return 0.0
     u = math.exp(-x)
     d = -math.expm1(-x)
@@ -204,54 +188,33 @@ def critical_density_by_parts(params: ModelParams, beta: float) -> float:
         if w == 0.0 or energy <= 0.0:
             return 0.0
         y = C * lam / math.sqrt(energy)
-        if y > 745.0:
+        if y > EXP_CUTOFF:
             return 0.0
         return lam * math.exp(-y) / (-math.expm1(-y)) * w
 
-    emax = 745.0 / beta
+    emax = EXP_CUTOFF / beta
     pts = [p for p in (1.0 / beta,) if p < emax]
     val, _ = quad(integrand, 0.0, emax, points=pts, **_QUAD_OPTS)
     return val
 
 
 def _solve_mu_on_table(table: LevelTable, beta: float, rho: float) -> float:
-    ground = table.ground_energy
+    """mu with table density rho; each Newton step is one pass over the table."""
     volume = table.total_length
 
-    def dens(mu: float) -> float:
-        return float(_occupations(table.energies, beta, mu).sum()) / volume
+    def density(mu: float) -> tuple[float, float]:
+        occ = _bose_occupations(beta * (table.energies - mu))
+        return float(occ.sum()) / volume, beta * float(occ @ (occ + 1.0)) / volume
 
-    gap = max(1e-6 / (volume * beta * rho), 8.0 * np.finfo(float).eps * abs(ground))
-    hi = ground - gap
-    shrink = 0
-    while dens(hi) < rho:
-        gap *= 0.125
-        hi = ground - gap
-        shrink += 1
-        if shrink > 60 or gap <= 2.0 * np.finfo(float).eps * abs(ground):
-            raise ConvergenceError(
-                "could not bracket mu below the ground energy", (ground - gap, ground)
-            )
-    lo = ground - 1.0 / beta
-    for _ in range(_MAX_BISECTIONS):
-        if dens(lo) < rho:
-            break
-        lo = ground - 2.0 * (ground - lo)
-    else:
-        raise ConvergenceError("no lower bracket for mu", (lo, hi))
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if dens(mid) < rho:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _MU_TOLERANCE * max(1.0, abs(mid)):
-            return 0.5 * (lo + hi)
-    raise ConvergenceError("mu bisection did not converge", (lo, hi))
+    return _log_newton(density, rho, 1.0 / beta, _MU_TOLERANCE, anchor=table.ground_energy)
 
 
 def solve_mu_finite(partition: IntervalPartition, beta: float, rho: float) -> float:
-    """Unique mu below the partition's spectral bottom with density_finite == rho."""
+    """Unique mu below the partition's spectral bottom with density_finite == rho.
+
+    Newton in ln(ground - mu), slope beta * sum n(n+1) from the same occupations
+    n; it stops on a sign-verified bracket of width 1e-12 * max(1, |mu|).
+    """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if beta <= 0:
@@ -260,29 +223,22 @@ def solve_mu_finite(partition: IntervalPartition, beta: float, rho: float) -> fl
 
 
 def solve_mu_limit(params: ModelParams, beta: float, rho: float) -> float:
-    """Limiting chemical potential: the root of density_limit below zero, or 0 if condensed."""
+    """Limiting chemical potential: the root of density_limit below zero, or 0 if condensed.
+
+    Newton in ln(-mu), one quad each for the density and its mu-derivative;
+    it stops on a sign-verified bracket of width 1e-12 * max(1, |mu|).
+    """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     rho_c = critical_density(params, beta)
     if rho >= rho_c:
         return 0.0
-    lo = -1.0 / beta
-    for _ in range(_MAX_BISECTIONS):
-        if density_limit(params, beta, lo) < rho:
-            break
-        lo *= 2.0
-    else:
-        raise ConvergenceError("no lower bracket for the limit mu", (lo, 0.0))
-    hi = 0.0
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if density_limit(params, beta, mid) < rho:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _MU_TOLERANCE * max(1.0, abs(mid)):
-            return 0.5 * (lo + hi)
-    raise ConvergenceError("limit-mu bisection did not converge", (lo, hi))
+
+    def density(mu: float) -> tuple[float, float]:
+        slope = _limit_integral(params, beta, mu, lambda e: _bose_derivative_weight(e, beta))
+        return density_limit(params, beta, mu), slope
+
+    return _log_newton(density, rho, 1.0 / beta, _MU_TOLERANCE)
 
 
 def condensate_density(params: ModelParams, beta: float, rho: float) -> CondensateReport:
@@ -312,7 +268,7 @@ def condensate_finite(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     table = _table(partition, beta, extra_cutoff=epsilon)
     mu = _solve_mu_on_table(table, beta, rho)
-    occ = _occupations(table.energies, beta, mu)
+    occ = _bose_occupations(beta * (table.energies - mu))
     return float(occ[table.energies < epsilon].sum()) / partition.total_length
 
 
@@ -329,14 +285,14 @@ def critical_density_bound(params: ModelParams, beta: float, amplitude: float) -
         raise ValueError("amplitude must be positive")
     lam = params.intensity
     e_split = (math.pi * amplitude / 8.0) ** 2
-    emax = 745.0 / beta
+    emax = EXP_CUTOFF / beta
 
     def low(energy: float) -> float:
         w = _bose_derivative_weight(energy, beta)
         if w == 0.0 or energy <= 0.0:
             return 0.0
         exponent = lam * (C / math.sqrt(energy) - 4.0 / amplitude)
-        if exponent > 745.0:
+        if exponent > EXP_CUTOFF:
             return 0.0
         z = math.exp(-exponent)
         return lam * z / (-math.expm1(-exponent)) * w

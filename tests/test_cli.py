@@ -6,7 +6,7 @@ import math
 import pytest
 
 import bec1d.cli as cli
-from bec1d import expected_largest, ids_limit, ModelParams
+from bec1d import ConvergenceError, expected_largest, ids_limit, ModelParams
 
 
 def run_cli(args):
@@ -134,7 +134,7 @@ class TestTrialFailureIsolation:
         def flaky(partition, energy):
             calls["n"] += 1
             if calls["n"] == 1:
-                raise ValueError("synthetic trial failure")
+                raise ConvergenceError("synthetic trial failure")
             return real(partition, energy)
 
         monkeypatch.setattr(cli, "counting_function", flaky)
@@ -148,6 +148,19 @@ class TestTrialFailureIsolation:
         assert rows[0]["failed_trials"] == "1"
         assert rows[0]["status"] == "trial_failures"
         assert rows[1]["failed_trials"] == "0"
+
+    def test_plain_value_error_propagates(self, tmp_path, monkeypatch):
+        # only the typed numeric failures count as failed trials; anything
+        # else is a defect and must surface
+        def broken(partition, energy):
+            raise ValueError("synthetic defect")
+
+        monkeypatch.setattr(cli, "counting_function", broken)
+        with pytest.raises(ValueError, match="synthetic defect"):
+            run_cli([
+                "ids", "--lambda", "1", "--e-grid", "0.5", "--box-length", "200",
+                "--seeds", "2", "--out", str(tmp_path / "r.csv"),
+            ])
 
 
 class TestOtherCommands:
