@@ -33,7 +33,7 @@ from .poisson_geometry import (
 )
 from .rng import trial_rng
 from .spectrum import ModelParams, counting_function, ids_limit
-from .correlations import kernel_finite, kernel_limit, kernel_with_condensate
+from .correlations import _condensed_kernel, _kernel_on_table, kernel_limit
 from .hierarchical import (
     build_layout,
     classify_condensate,
@@ -42,6 +42,9 @@ from .hierarchical import (
 )
 from .order_localization import ground_state_share
 from .thermodynamics import (
+    _solve_mu_on_table,
+    _table,
+    condensate_density,
     critical_density,
     density_finite,
     density_limit,
@@ -226,23 +229,21 @@ def _run_thermo(cfg: ExperimentConfig):
 
 
 def _run_correlate(cfg: ExperimentConfig):
+    # one limit state per sweep, one level table and one mu per trial
     params = ModelParams(cfg.intensity)
     if cfg.mu is not None:
         if cfg.mu >= 0:
             raise UsageError("correlate with --mu needs mu < 0")
-        analytic = {r: (kernel_limit(params, cfg.beta, cfg.mu, r) if r > 0
-                        else density_limit(params, cfg.beta, cfg.mu)) for r in cfg.r_grid}
-
-        def per_trial(trial):
-            part = _trial_partition(cfg, cfg.box_length, trial)
-            return lambda r: kernel_finite(part, cfg.beta, cfg.mu, r)
+        analytic = {r: kernel_limit(params, cfg.beta, cfg.mu, r) for r in cfg.r_grid}
     else:
-        analytic = {r: kernel_with_condensate(params, cfg.beta, cfg.rho, r) for r in cfg.r_grid}
+        report = condensate_density(params, cfg.beta, cfg.rho)
+        analytic = {r: _condensed_kernel(cfg.intensity, cfg.beta, report, abs(r))
+                    for r in cfg.r_grid}
 
-        def per_trial(trial):
-            part = _trial_partition(cfg, cfg.box_length, trial)
-            mu_trial = solve_mu_finite(part, cfg.beta, cfg.rho)
-            return lambda r: kernel_finite(part, cfg.beta, mu_trial, r)
+    def per_trial(trial):
+        table = _table(_trial_partition(cfg, cfg.box_length, trial), cfg.beta)
+        mu = cfg.mu if cfg.mu is not None else _solve_mu_on_table(table, cfg.beta, cfg.rho)
+        return lambda r: _kernel_on_table(table, cfg.beta, mu, abs(r))
 
     rows = _mc_rows(cfg, "separation", cfg.r_grid, per_trial, analytic.get)
     for row in rows:

@@ -35,18 +35,20 @@ from scipy.integrate import IntegrationWarning, quad
 from .errors import ConvergenceError, DomainError
 from .numerics import EXP_CUTOFF, _bose_factor, _bose_occupations
 from .poisson_geometry import IntervalPartition
-from .spectrum import C, ModelParams
+from .spectrum import C, LevelTable, ModelParams
 from .thermodynamics import (
+    CondensateReport,
     _q_max,
     _table,
     _require_below_ground,
+    condensate_density,
     critical_density,
     density_limit,
-    solve_mu_limit,
 )
 
 _SQRT2 = math.sqrt(2.0)
 _PANEL_QUAD = dict(limit=80, epsabs=1e-16, epsrel=5e-13)
+_SERIES_EPSABS, _SERIES_EPSREL = 1e-16, 5e-13
 
 
 @dataclass(frozen=True)
@@ -77,19 +79,21 @@ def kernel_finite(partition: IntervalPartition, beta: float, mu: float, r: float
     Exactly equals the translation average of the eigenfunction double sum;
     only intervals longer than r contribute. At r = 0 this is density_finite.
     """
-    r = abs(float(r))
-    table = _table(partition, beta)
+    return _kernel_on_table(_table(partition, beta), beta, mu, abs(float(r)))
+
+
+def _kernel_on_table(table: LevelTable, beta: float, mu: float, r: float) -> float:
+    """kernel_finite on a prebuilt level table, for r >= 0."""
     _require_below_ground(mu, table.ground_energy)
-    occ = _bose_occupations(beta * (table.energies - mu))
     keep = table.lengths > r
     if not np.any(keep):
         return 0.0
-    occ = occ[keep]
+    occ = _bose_occupations(beta * (table.energies[keep] - mu))
     lens = table.lengths[keep]
     k = np.pi * table.quantum_numbers[keep] / lens
     kr = k * r
     weights = np.cos(kr) * (1.0 - r / lens) + np.sin(kr) / (k * lens)
-    return float((occ * weights).sum()) / partition.total_length
+    return float((occ * weights).sum()) / table.total_length
 
 
 def _limit_integrand(q: float, intensity: float, beta: float, mu: float, r: float) -> float:
@@ -114,7 +118,7 @@ def _limit_integrand(q: float, intensity: float, beta: float, mu: float, r: floa
 
 
 def _kernel_integral_panels(intensity: float, beta: float, mu: float, r: float) -> float:
-    qmax = _q_max(beta, mu)
+    qmax = _q_max(beta, mu, intensity)
     knot = C / r
     n_knots = int(qmax / knot)
     edges = [0.0] + [knot * n for n in range(1, n_knots + 1)] + [qmax]
@@ -127,7 +131,10 @@ def _kernel_integral_panels(intensity: float, beta: float, mu: float, r: float) 
     return math.exp(-intensity * r) * intensity * intensity * C * total
 
 
-def _series_term(s: int, intensity: float, beta: float, mu: float, r: float, qmax: float) -> float:
+def _series_term(
+    s: int, intensity: float, beta: float, mu: float, r: float, qmax: float
+) -> tuple[float, float]:
+    """Windowed integral of mode s and quad's error estimate for it."""
     top = min(C * s / r, qmax)
 
     def integrand(q: float) -> float:
@@ -144,30 +151,37 @@ def _series_term(s: int, intensity: float, beta: float, mu: float, r: float, qma
         phase = _SQRT2 * q * r
         return math.exp(-t) * ((s - y) * math.cos(phase) + math.sin(phase) / math.pi) / (q * q) * f
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(integrand, 0.0, top, limit=200, epsabs=1e-16, epsrel=5e-13)
-    return val
+    return quad(integrand, 0.0, top, limit=200, epsabs=_SERIES_EPSABS, epsrel=_SERIES_EPSREL)
 
 
 def _kernel_integral_series(intensity: float, beta: float, mu: float, r: float) -> float:
-    qmax = _q_max(beta, mu)
+    """Mode series; raises ConvergenceError once quad's summed error estimates
+    exceed the route's tolerance, 5e-13 of the density plus 1e-16 per quad."""
+    qmax = _q_max(beta, mu, intensity)
     s_window = int(qmax * r / C) + 1
     # beyond the window the terms decay like exp(-C intensity s / q), so the
     # tail length scales with qmax / intensity
     cap = s_window + int(45.0 * qmax / (C * intensity)) + 10
-    total = 0.0
+    prefactor = math.exp(-intensity * r) * intensity * intensity * C
+    allowed = (_SERIES_EPSREL * density_limit(ModelParams(intensity), beta, mu)
+               + cap * _SERIES_EPSABS * prefactor)
+    total = abserr = 0.0
     small = 0
     for s in range(1, cap):
-        term = _series_term(s, intensity, beta, mu, r, qmax)
+        term, err = _series_term(s, intensity, beta, mu, r, qmax)
         total += term
+        abserr += err
+        if prefactor * abserr > allowed:
+            raise ConvergenceError(
+                f"kernel mode series error estimate {prefactor * abserr:.3g} exceeds {allowed:.3g}"
+            )
         if s > s_window:
             small = small + 1 if abs(term) <= 1e-16 * max(abs(total), 1e-300) else 0
             if small >= 3:
                 break
     else:
         raise ConvergenceError("kernel mode series did not converge")
-    return math.exp(-intensity * r) * intensity * intensity * C * total
+    return prefactor * total
 
 
 def _kernel_integral(
@@ -206,14 +220,13 @@ def kernel_with_condensate(params: ModelParams, beta: float, rho: float, r: floa
     potential; at or above it the condensate density is added to the kernel
     evaluated at mu = 0, which is why the large-r limit exhibits ODLRO.
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    rho_c = critical_density(params, beta)
-    r = abs(float(r))
-    if rho < rho_c:
-        mu = solve_mu_limit(params, beta, rho)
-        return _kernel_integral(params.intensity, beta, mu, r)
-    return (rho - rho_c) + _kernel_integral(params.intensity, beta, 0.0, r)
+    report = condensate_density(params, beta, rho)
+    return _condensed_kernel(params.intensity, beta, report, abs(float(r)))
+
+
+def _condensed_kernel(intensity: float, beta: float, report: CondensateReport, r: float) -> float:
+    """Condensate density plus the limit kernel at the report's mu, for r >= 0."""
+    return report.rho_0 + _kernel_integral(intensity, beta, report.mu_limit, r)
 
 
 def odlro(params: ModelParams, beta: float, rho: float) -> float:

@@ -203,7 +203,7 @@ def ids_series(params: ModelParams, energy: float, tolerance: float = 1e-12) -> 
 def ids_free(energy: float) -> float:
     """Integrated density of states of the impurity-free line: sqrt(2 E) / pi."""
     if not (np.isfinite(energy) and energy > 0):
-        raise ValueError(f"energy must be positive, got {energy}")
+        raise DomainError(f"energy must be positive, got {energy}")
     return math.sqrt(2.0 * energy) / math.pi
 
 

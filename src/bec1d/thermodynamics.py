@@ -9,6 +9,16 @@ bottom and the excess density condenses.
 All improper integrals are evaluated after the substitution E = q^2, which
 removes the E^(-3/2) steepness of the density of states; the integrands then
 vanish with all derivatives at q = 0.
+
+The limit q-integrals (densities, pressures, kernels) end where the Bose tail
+is negligible. Their integrands are bounded by the envelope
+e^{-C lam / q - beta q^2} times slowly varying factors, and the envelope
+exponent is smallest, phi* = 3 (C lam / 2)^(2/3) beta^(1/3), at the peak.
+The range stops at beta q^2 = min(EXP_CUTOFF, phi* + TAIL_EXPONENT) above
+max(mu, 0), where the envelope has fallen e^-60 below its peak: the
+discarded density tail is below 1e-20 of the density. The critical density
+by parts and the free kernel keep their full range, so the by-parts route
+stays an independent check of the cut.
 """
 
 from __future__ import annotations
@@ -103,8 +113,10 @@ def _ids_weight_q(q: float, intensity: float) -> float:
     return intensity * intensity * C * w / (q * q * d * d)
 
 
-def _q_max(beta: float, mu: float) -> float:
-    top = EXP_CUTOFF / beta + max(mu, 0.0)
+def _q_max(beta: float, mu: float, intensity: float) -> float:
+    """Upper end of the limit q-integrals: beta q^2 = phi* + TAIL_EXPONENT past the peak."""
+    peak = 3.0 * (0.5 * C * intensity) ** (2.0 / 3.0) * beta ** (1.0 / 3.0)
+    top = min(EXP_CUTOFF, peak + TAIL_EXPONENT) / beta + max(mu, 0.0)
     return math.sqrt(max(top, 1e-6))
 
 
@@ -116,7 +128,7 @@ def _interior_points(beta: float, mu: float, qmax: float) -> list[float]:
 def _limit_integral(params: ModelParams, beta: float, mu: float, weight) -> float:
     """Integral of the limiting density of states against weight(E - mu), over E = q^2."""
     lam = params.intensity
-    qmax = _q_max(beta, mu)
+    qmax = _q_max(beta, mu, lam)
 
     def integrand(q: float) -> float:
         w = _ids_weight_q(q, lam)

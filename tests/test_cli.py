@@ -3,10 +3,21 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import bec1d.cli as cli
-from bec1d import ConvergenceError, expected_largest, ids_limit, ModelParams
+from bec1d import (
+    ConvergenceError,
+    ModelParams,
+    critical_density,
+    expected_largest,
+    ids_limit,
+    kernel_finite,
+    kernel_with_condensate,
+    solve_mu_finite,
+)
+from bec1d import correlations, thermodynamics
 
 
 def run_cli(args):
@@ -161,6 +172,57 @@ class TestTrialFailureIsolation:
                 "ids", "--lambda", "1", "--e-grid", "0.5", "--box-length", "200",
                 "--seeds", "2", "--out", str(tmp_path / "r.csv"),
             ])
+
+
+class TestCorrelateReuse:
+    """correlate solves the limit once per sweep and builds one table per trial."""
+
+    R_GRID = [0.0, 1.0, 2.0, 5.0, 10.0, 50.0]
+
+    def _run(self, tmp_path, *extra):
+        out = tmp_path / "c.csv"
+        code = run_cli([
+            "correlate", "--lambda", "1", "--beta", "1", "--r-grid",
+            " ".join(map(str, self.R_GRID)), "--box-length", "300", "--seeds", "3",
+            "--base-seed", "4", "--out", str(out), *extra,
+        ])
+        assert code == 0
+        return read_csv(out)[1]
+
+    @pytest.mark.parametrize("fraction", [0.5, 1.5])
+    def test_rows_equal_the_per_separation_calls(self, tmp_path, fraction):
+        params = ModelParams(1.0)
+        rho = fraction * critical_density(params, 1.0)
+        rows = self._run(tmp_path, "--rho", repr(rho))
+        parts = [cli._trial_partition(cli.ExperimentConfig("correlate", base_seed=4), 300.0, t)
+                 for t in range(3)]
+        mus = [solve_mu_finite(part, 1.0, rho) for part in parts]
+        for row, r in zip(rows, self.R_GRID):
+            trials = [kernel_finite(part, 1.0, mu, r) for part, mu in zip(parts, mus)]
+            assert float(row["mc_mean"]) == float(np.asarray(trials).mean())
+            assert float(row["analytic"]) == kernel_with_condensate(params, 1.0, rho, r)
+
+    def test_one_limit_solve_and_one_table_per_trial(self, tmp_path, monkeypatch):
+        calls = {"solve_mu_limit": 0, "build_level_table": 0}
+
+        def counted(name):
+            real = getattr(thermodynamics, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            wrapper = counted(name)
+            for module in (thermodynamics, correlations, cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        self._run(tmp_path, "--rho", repr(0.5 * critical_density(ModelParams(1.0), 1.0)))
+        assert calls == {"solve_mu_limit": 1, "build_level_table": 3}
+        calls.update(solve_mu_limit=0, build_level_table=0)
+        self._run(tmp_path, "--mu", "-0.5")
+        assert calls == {"solve_mu_limit": 0, "build_level_table": 3}
 
 
 class TestOtherCommands:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bec1d import (
+    ConvergenceError,
     DomainError,
     IntervalPartition,
     KernelQuery,
@@ -109,6 +110,27 @@ class TestKernelLimit:
     def test_needs_negative_mu(self):
         with pytest.raises(DomainError):
             kernel_limit(PARAMS, 1.0, 0.0, 1.0)
+
+
+class TestSeriesErrorCheck:
+    """The series route raises when quad's error estimates exceed its tolerance."""
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_unresolved_series_raises(self):
+        # the panels give 3.5e-17 here; the unchecked series sum returned 2.7e-4
+        beta = 1e-3
+        with pytest.raises(ConvergenceError, match="error estimate"):
+            kernel_limit(ModelParams(0.1), beta, -1.0 / beta, 5.0, method="series")
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_resolved_series_does_not_raise(self, lam, beta):
+        for beta_mu in (-0.1, -0.5, -1.0):
+            for r in (1.0, 5.0, 20.0):
+                assert math.isfinite(
+                    kernel_limit(ModelParams(lam), beta, beta_mu / beta, r, method="series")
+                )
 
 
 class TestCondensedKernel:

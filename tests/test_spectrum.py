@@ -166,6 +166,11 @@ class TestIdsFree:
         assert ids_free(math.pi**2 / 2.0) == pytest.approx(1.0, rel=1e-15)
         assert ids_free(0.5) == pytest.approx(1.0 / math.pi, rel=1e-15)
 
+    def test_non_positive_energy_is_a_domain_error(self):
+        for energy in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                ids_free(energy)
+
     @given(energy=st.floats(1e-6, 1e6), lam=st.floats(0.05, 20.0))
     @settings(max_examples=80, deadline=None)
     def test_disorder_only_lowers_the_ids(self, energy, lam):

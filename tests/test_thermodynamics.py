@@ -27,6 +27,9 @@ from bec1d import (
     solve_mu_finite,
     solve_mu_limit,
 )
+from bec1d.correlations import _limit_integrand
+from bec1d.numerics import EXP_CUTOFF, _bose_factor
+from bec1d.thermodynamics import _ids_weight_q, _q_max
 
 PARAMS = ModelParams(1.0)
 
@@ -164,6 +167,60 @@ class TestCriticalDensity:
         values = [critical_density(ModelParams(lam), 1.0) for lam in (1.0, 0.1, 0.01)]
         assert values[0] < values[1] < values[2]
         assert values[2] > 10.0 * values[0]
+
+
+_TAIL_LAMBDAS = (1e-3, 1.0, 1e2)
+_TAIL_BETAS = (1e-3, 1.0, 1e3)
+
+
+class TestIntegrationRange:
+    """The limit q-integrals end at the Bose tail, not at q^2 = EXP_CUTOFF / beta."""
+
+    @pytest.mark.parametrize("lam", _TAIL_LAMBDAS)
+    @pytest.mark.parametrize("beta", _TAIL_BETAS)
+    @pytest.mark.parametrize("beta_mu", [0.0, -0.1, -1.0, -30.0])
+    def test_discarded_tail_is_negligible(self, lam, beta, beta_mu):
+        mu = beta_mu / beta
+        q_cut, q_full = _q_max(beta, mu, lam), math.sqrt(EXP_CUTOFF / beta)
+        assert q_cut <= q_full
+        if q_cut == q_full:
+            return
+        rho = density_limit(ModelParams(lam), beta, mu)
+        density_tail, _ = quad(
+            lambda q: _ids_weight_q(q, lam) * _bose_factor(beta * (q * q - mu)),
+            q_cut, q_full, limit=400, epsabs=0.0, epsrel=1e-6,
+        )
+        assert density_tail <= 1e-20 * rho
+
+        def majorant(q):
+            # |kernel integrand| at any r: e^{-t} <= 1, 0 <= 1 - u <= 1, |cos|, |sin| <= 1
+            w = math.exp(-C * lam / q)
+            d = -math.expm1(-C * lam / q)
+            return (w / (d * d) + (1.0 + 1.0 / math.pi) / d) / (q * q) * _bose_factor(
+                beta * (q * q - mu)
+            )
+
+        for q in np.linspace(q_cut, q_full, 2001):
+            for r in (1.0, 5.0, 50.0):
+                assert abs(_limit_integrand(q, lam, beta, mu, r)) <= majorant(q) * (1 + 1e-12)
+        kernel_tail, _ = quad(majorant, q_cut, q_full, limit=400, epsabs=0.0, epsrel=1e-6)
+        # the panels stop each quad at epsabs 1e-16 on this integrand
+        assert kernel_tail <= 1e-19
+
+    @pytest.mark.parametrize("lam, beta", [
+        pytest.param(lam, beta, marks=pytest.mark.xfail(
+            strict=True,
+            reason="the by-parts quad misses the peak near E = (C lambda)^2 on "
+                   "[0, 745 / beta] and returns -18.4 against 666648",
+        )) if (lam, beta) == (1e-3, 1e-3) else (lam, beta)
+        for lam in _TAIL_LAMBDAS for beta in _TAIL_BETAS
+    ])
+    def test_by_parts_route_still_agrees(self, lam, beta):
+        # by parts keeps the full range, so it checks the shortened one
+        params = ModelParams(lam)
+        assert critical_density(params, beta) == pytest.approx(
+            critical_density_by_parts(params, beta), rel=1e-12, abs=2e-13
+        )
 
 
 class TestMuSolvers:
