@@ -170,17 +170,15 @@ def ground_state_share(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     table = _table(partition, beta, extra_cutoff=epsilon)
     mu = _solve_mu_on_table(table, beta, rho)
-    occ = _bose_occupations(beta * (table.energies - mu))
-    window = table.energies < epsilon
-    n_window = int(np.count_nonzero(window))
+    window = table.energies[table.energies < epsilon]
     top_two = np.partition(partition.lengths, partition.lengths.size - 2)[-2:] \
         if partition.lengths.size >= 2 else partition.lengths
     tie = top_two.size == 2 and abs(top_two[1] - top_two[0]) < 1e-12 * top_two[1]
-    if n_window == 0:
+    if window.size == 0:
         return GroundStateShare(math.nan, tie, 0)
-    lowest = int(np.argmin(table.energies))
-    fraction = float(occ[lowest] / occ[window].sum()) if window[lowest] else 0.0
-    return GroundStateShare(fraction, tie, n_window)
+    # a non-empty window holds the lowest level, first among equals as in the table
+    occ = _bose_occupations(beta * (window - mu))
+    return GroundStateShare(float(occ[np.argmin(window)] / occ.sum()), tie, window.size)
 
 
 def ground_state_occupation_fraction(

@@ -142,6 +142,25 @@ class TestMuSolver:
         resid = RHO - RHO_C - head - tail
         assert abs(resid) < 1e-10
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the two-term tail 1/(b s) - (A - b)/(3 b^2 s^3) holds only for "
+        "A << b s_tail^2 ~ 2.5e10 here; the solver returns 9.228e10",
+    )
+    def test_type2_coefficient_solves_the_sum_with_arctan_tail(self):
+        # rho - rho_c = sum_s 1/(b (s^2 - 1) + A), its tail beyond s = 1e5 the
+        # midpoint integral (pi/2 - atan(s sqrt(b/(A - b)))) / sqrt(b (A - b))
+        lam, beta = 0.5, 1.0
+        rho_c = hierarchical_critical_density(lam, beta)
+        a = solve_type2_coefficient(lam, beta, 1.5 * rho_c)
+        b = beta * lam * C_SQUARED
+        s = np.arange(1.0, 100_001.0)
+        s_tail = 100_000.5
+        head = float(np.sum(1.0 / (b * (s * s - 1.0) + a)))
+        root = math.sqrt(b * (a - b))
+        tail = (0.5 * math.pi - math.atan(s_tail * b / root)) / root
+        assert head + tail == pytest.approx(0.5 * rho_c, rel=1e-10)
+
     def test_type2_coefficient_monotone_in_density(self):
         values = [solve_type2_coefficient(LAM, BETA, RHO_C + extra) for extra in (0.1, 1.0, 10.0)]
         assert values[0] > values[1] > values[2]
