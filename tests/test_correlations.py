@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bec1d import correlations, numerics
 from bec1d import (
     ConvergenceError,
     DomainError,
@@ -25,6 +26,7 @@ from bec1d import (
     sample_poisson_partition,
     solve_mu_limit,
 )
+from util import kernel_route_bound
 
 PARAMS = ModelParams(1.0)
 
@@ -99,6 +101,17 @@ class TestKernelLimit:
             ]
             assert np.mean(vals) == pytest.approx(kernel_limit(PARAMS, beta, mu, r), rel=tol)
 
+    def test_routes_agree_where_one_rule_spans_many_oscillations(self):
+        # one rule over the whole window of mode 49 returned -9.8e-9 against
+        # -6.7e-12 with a 3e-17 estimate, so the series missed by 4.5e-10
+        lam, beta, mu, r = 0.5, 0.5, -1.2483893662276093, 5.0
+        params = ModelParams(lam)
+        panels = kernel_limit(params, beta, mu, r, method="panels")
+        series = kernel_limit(params, beta, mu, r, method="series")
+        allowed = (kernel_route_bound(lam, beta, mu, r, "panels")
+                   + kernel_route_bound(lam, beta, mu, r, "series"))
+        assert abs(panels - series) <= allowed
+
     def test_vanishes_at_large_separation(self):
         assert abs(kernel_limit(PARAMS, 1.0, -0.5, 40.0)) < 1e-17
 
@@ -113,16 +126,50 @@ class TestKernelLimit:
 
 
 class TestSeriesErrorCheck:
-    """The series route raises when quad's error estimates exceed its tolerance."""
+    """The series route raises when its summed error estimates exceed its tolerance."""
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    def test_unresolved_series_raises(self):
-        # the panels give 3.5e-17 here; the unchecked series sum returned 2.7e-4
+    def test_formerly_unresolved_point_agrees_with_panels(self):
+        # quad's series raised here after ~2.7 s; the batched rule resolves it
+        # (3.6e-17 against the panels' -7.2e-16, both far inside the bounds)
+        lam, beta = 0.1, 1e-3
+        mu = -1.0 / beta
+        params = ModelParams(lam)
+        series = kernel_limit(params, beta, mu, 5.0, method="series")
+        panels = kernel_limit(params, beta, mu, 5.0, method="panels")
+        allowed = (kernel_route_bound(lam, beta, mu, 5.0, "panels")
+                   + kernel_route_bound(lam, beta, mu, 5.0, "series"))
+        assert abs(series - panels) <= allowed
+
+    def test_unresolved_first_chunk_raises(self, monkeypatch):
+        # one round cannot resolve the first chunk's terms here; the chunk
+        # holds 118 terms, as many as fit in _SERIES_PIECES pieces
+        calls = []
+
+        def counted(*args):
+            calls.append(args[4])
+            return numerics._gauss_kronrod(*args)
+
+        monkeypatch.setattr(numerics, "_GK_MAX_ROUNDS", 1)
+        monkeypatch.setattr(correlations, "_gauss_kronrod", counted)
         beta = 1e-3
-        with pytest.raises(ConvergenceError, match="error estimate"):
+        with pytest.raises(ConvergenceError, match="unresolved"):
             kernel_limit(ModelParams(0.1), beta, -1.0 / beta, 5.0, method="series")
+        assert len(calls) == 1
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_summed_estimate_beyond_tolerance_raises(self, monkeypatch):
+        # estimates inflated a billionfold exceed 5e-13 of the density at once
+        calls = []
+
+        def inflated(*args):
+            value, error, neval = numerics._gauss_kronrod(*args)
+            calls.append(args[4])
+            return value, 1e9 * error, neval
+
+        monkeypatch.setattr(correlations, "_gauss_kronrod", inflated)
+        with pytest.raises(ConvergenceError, match="error estimate"):
+            kernel_limit(PARAMS, 1.0, -0.5, 5.0, method="series")
+        assert calls == [correlations._SERIES_CHUNK]
+
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_resolved_series_does_not_raise(self, lam, beta):

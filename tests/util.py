@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from bec1d import C, ModelParams, density_limit
+from bec1d.numerics import EXP_CUTOFF
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:
@@ -17,3 +22,19 @@ def ks_distance(samples: np.ndarray, cdf) -> float:
 
 def fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.asarray(x, float), np.asarray(y, float), 1)[0])
+
+
+def kernel_route_bound(lam: float, beta: float, mu: float, r: float, route: str) -> float:
+    """Error bound of one limit-kernel route, in the form the benchmark checks.
+
+    5e-13 of the density at mu, plus 1e-16 times the prefactor lam^2 C e^{-lam r}
+    per panel ("panels") or per series term ("series"), both counted over the
+    full range q < sqrt(EXP_CUTOFF / beta). Two routes agree to the sum of
+    their bounds.
+    """
+    q_max = math.sqrt(EXP_CUTOFF / beta)
+    calls = int(q_max * r / C) + 1
+    if route == "series":
+        calls += int(45.0 * q_max / (C * lam)) + 10
+    prefactor = lam * lam * C * math.exp(-lam * r)
+    return 5e-13 * density_limit(ModelParams(lam), beta, mu) + calls * 1e-16 * prefactor
