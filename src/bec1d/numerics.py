@@ -160,7 +160,8 @@ def _gauss_kronrod(f, a, b, owner, n_owners, epsabs, epsrel, width=math.inf):
     panel's accepted estimates sum to at most epsabs + epsrel times its
     absolute integral. Only failing subpanels are bisected; one still failing
     after _GK_MAX_ROUNDS rounds raises ConvergenceError. f sees at most
-    _GK_BLOCK rows per call, which bounds the working arrays.
+    _GK_BLOCK rows per call, which bounds the integrand's temporaries; the
+    caller bounds the number of panels.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     # the minimum split also spares a handful of panels one round of array
