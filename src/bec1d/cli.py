@@ -33,7 +33,7 @@ from .poisson_geometry import (
 )
 from .rng import trial_rng
 from .spectrum import ModelParams, counting_function, ids_limit
-from .correlations import _condensed_kernel, _kernel_on_table, kernel_limit
+from .correlations import _condensed_kernel, kernel_finite, kernel_limit
 from .hierarchical import (
     build_layout,
     classify_condensate,
@@ -42,12 +42,11 @@ from .hierarchical import (
 )
 from .order_localization import ground_state_share
 from .thermodynamics import (
-    _solve_mu_on_table,
-    _table,
     condensate_density,
     critical_density,
     density_finite,
     density_limit,
+    level_table,
     solve_mu_finite,
     solve_mu_limit,
 )
@@ -241,9 +240,9 @@ def _run_correlate(cfg: ExperimentConfig):
                     for r in cfg.r_grid}
 
     def per_trial(trial):
-        table = _table(_trial_partition(cfg, cfg.box_length, trial), cfg.beta)
-        mu = cfg.mu if cfg.mu is not None else _solve_mu_on_table(table, cfg.beta, cfg.rho)
-        return lambda r: _kernel_on_table(table, cfg.beta, mu, abs(r))
+        table = level_table(_trial_partition(cfg, cfg.box_length, trial), cfg.beta)
+        mu = cfg.mu if cfg.mu is not None else solve_mu_finite(table, cfg.beta, cfg.rho)
+        return lambda r: kernel_finite(table, cfg.beta, mu, r)
 
     rows = _mc_rows(cfg, "separation", cfg.r_grid, per_trial, analytic.get)
     for row in rows:

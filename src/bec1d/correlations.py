@@ -50,11 +50,11 @@ from .spectrum import C, LevelTable, ModelParams
 from .thermodynamics import (
     CondensateReport,
     _q_max,
-    _table,
     _require_below_ground,
     condensate_density,
     critical_density,
     density_limit,
+    level_table,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -88,24 +88,20 @@ class KernelQuery:
             raise ValueError(f"rho must be positive, got {self.rho}")
 
 
-def kernel_finite(partition: IntervalPartition, beta: float, mu: float, r: float) -> float:
-    """Space-averaged kernel of one partition at separation r.
+def kernel_finite(source: IntervalPartition | LevelTable, beta: float, mu: float,
+                  r: float) -> float:
+    """Space-averaged kernel of one partition, or of its level table, at separation r.
 
     Exactly equals the translation average of the eigenfunction double sum;
     only intervals longer than r contribute. At r = 0 this is density_finite.
     """
-    return _kernel_on_table(_table(partition, beta), beta, mu, abs(float(r)))
-
-
-def _kernel_on_table(table: LevelTable, beta: float, mu: float, r: float) -> float:
-    """kernel_finite on a prebuilt level table, for r >= 0."""
+    table = level_table(source, beta)
     _require_below_ground(mu, table.ground_energy)
+    r = abs(float(r))
     keep = table.lengths > r
-    if not np.any(keep):
-        return 0.0
-    occ = _bose_occupations(beta * (table.energies[keep] - mu))
-    lens = table.lengths[keep]
-    k = np.pi * table.quantum_numbers[keep] / lens
+    energies, lens = table.energies[keep], table.lengths[keep]
+    occ = _bose_occupations(beta * (energies - mu))
+    k = np.sqrt(2.0 * energies)  # pi s / L
     kr = k * r
     weights = np.cos(kr) * (1.0 - r / lens) + np.sin(kr) / (k * lens)
     return float((occ * weights).sum()) / table.total_length

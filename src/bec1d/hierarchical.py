@@ -133,7 +133,8 @@ def _layout_density(layout: HierarchicalLayout, beta: float, mu: float) -> tuple
     large = _tower_occupations(layout.large_length, beta, mu)
     small = _tower_occupations(layout.small_length, beta, mu)
     count = large.sum() * layout.large_count + small.sum() * layout.small_count
-    slope = large @ (large + 1.0) * layout.large_count + small @ (small + 1.0) * layout.small_count
+    slope = (np.einsum("i,i->", large, large + 1.0) * layout.large_count
+             + np.einsum("i,i->", small, small + 1.0) * layout.small_count)
     return float(count) / layout.total_length, beta * float(slope) / layout.total_length
 
 

@@ -20,7 +20,7 @@ from .numerics import _bose_occupations
 from .poisson_geometry import IntervalPartition, poisson_lengths
 from .rng import trial_rng
 from .spectrum import C, C_SQUARED
-from .thermodynamics import _solve_mu_on_table, _table
+from .thermodynamics import level_table, solve_mu_finite
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,8 @@ def ground_state_share(
     """Occupation of the lowest level over the total occupation below epsilon."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    table = _table(partition, beta, extra_cutoff=epsilon)
-    mu = _solve_mu_on_table(table, beta, rho)
+    table = level_table(partition, beta, epsilon)
+    mu = solve_mu_finite(table, beta, rho)
     window = table.energies[table.energies < epsilon]
     top_two = np.partition(partition.lengths, partition.lengths.size - 2)[-2:] \
         if partition.lengths.size >= 2 else partition.lengths

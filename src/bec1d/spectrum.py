@@ -13,6 +13,7 @@ approaches the free-line law sqrt(2 E) / pi as the intensity vanishes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,10 @@ C_SQUARED = C * C
 #: beta * (E - mu) exceeds this exponent; the discarded tail is below
 #: 1e-20 per level.
 TAIL_EXPONENT = 60.0
+
+#: Most levels a table may hold (1 GiB of energies and lengths); a larger one
+#: raises DomainError before anything is allocated, not MemoryError.
+MAX_LEVELS = 2**26
 
 
 @dataclass(frozen=True)
@@ -57,20 +62,18 @@ class SpectralLevel:
 
 @dataclass(frozen=True)
 class LevelTable:
-    """Flat arrays of every level of a partition below an energy cutoff.
+    """Every level E = (C s / L)^2 of a partition up to a cutoff, with its interval length L.
 
-    Built once per partition and reused by occupation sums, chemical-potential
-    solvers and correlation kernels; entries are grouped by interval.
+    Grouped by interval; the wave number pi s / L is sqrt(2 E). One table is the
+    state of a realization that every finite observable reads (see level_table).
     """
 
     energies: np.ndarray
     lengths: np.ndarray
-    quantum_numbers: np.ndarray
-    interval_indices: np.ndarray
     total_length: float
     energy_cutoff: float
 
-    @property
+    @functools.cached_property
     def ground_energy(self) -> float:
         return float(self.energies.min())
 
@@ -117,44 +120,35 @@ def counting_function(partition: IntervalPartition, energy: float) -> float:
     return float(counts.sum()) / partition.total_length
 
 
-def build_level_table(partition: IntervalPartition, energy_cutoff: float) -> LevelTable:
-    """Enumerate every level with energy <= energy_cutoff (at least one per interval)."""
+def _level_modes(lengths: np.ndarray, energy_cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Level count per interval and the mode s of every level <= cutoff, grouped by interval."""
     if energy_cutoff <= 0:
         raise ValueError("energy_cutoff must be positive")
-    lengths = partition.lengths
-    counts = np.maximum(_modes_below(lengths, energy_cutoff), 1.0).astype(np.int64)
-    # one extra mode per interval so the cutoff comparison stays inclusive
-    counts += 1
-    total = int(counts.sum())
-    modes = np.ones(total, dtype=np.int64)
-    starts = np.zeros(len(counts), dtype=np.int64)
-    starts[1:] = np.cumsum(counts)[:-1]
+    # one extra mode keeps the cutoff inclusive; a float count cannot wrap at huge cutoffs
+    counts = np.maximum(_modes_below(lengths, energy_cutoff), 1.0) + 1.0
+    if counts.sum() > MAX_LEVELS:
+        raise DomainError(f"{counts.sum():.3g} levels up to {energy_cutoff:g} exceed {MAX_LEVELS}")
+    counts = counts.astype(np.int64)
+    modes = np.ones(int(counts.sum()), dtype=np.int64)
     # modes runs 1..count within each interval block
-    modes[starts[1:]] -= counts[:-1]
-    modes = np.cumsum(modes)
-    owner = np.repeat(np.arange(len(counts)), counts)
-    lens = lengths[owner]
-    energies = (C * modes / lens) ** 2
-    return LevelTable(
-        energies=energies,
-        lengths=lens,
-        quantum_numbers=modes,
-        interval_indices=owner,
-        total_length=partition.total_length,
-        energy_cutoff=energy_cutoff,
-    )
+    modes[np.cumsum(counts)[:-1]] -= counts[:-1]
+    return counts, np.cumsum(modes)
+
+
+def build_level_table(partition: IntervalPartition, energy_cutoff: float) -> LevelTable:
+    """Enumerate every level with energy <= energy_cutoff (at least one per interval)."""
+    counts, modes = _level_modes(partition.lengths, energy_cutoff)
+    lens = np.repeat(partition.lengths, counts)
+    return LevelTable((C * modes / lens) ** 2, lens, partition.total_length, energy_cutoff)
 
 
 def levels_below(partition: IntervalPartition, energy_cutoff: float) -> list[SpectralLevel]:
     """Per-level records below the cutoff, for inspection and small partitions."""
-    table = build_level_table(partition, energy_cutoff)
-    keep = table.energies <= energy_cutoff
-    return [
-        SpectralLevel(int(j), int(s), float(e))
-        for j, s, e in zip(
-            table.interval_indices[keep], table.quantum_numbers[keep], table.energies[keep]
-        )
-    ]
+    counts, modes = _level_modes(partition.lengths, energy_cutoff)
+    owner = np.repeat(np.arange(counts.size), counts)
+    energies = (C * modes / partition.lengths[owner]) ** 2
+    return [SpectralLevel(int(j), int(s), float(e))
+            for j, s, e in zip(owner, modes, energies) if e <= energy_cutoff]
 
 
 def _tail_weight(energy: float) -> float:

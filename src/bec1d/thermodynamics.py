@@ -83,9 +83,22 @@ class CondensateReport:
     mu_limit: float
 
 
-def _table(partition: IntervalPartition, beta: float, extra_cutoff: float = 0.0) -> LevelTable:
-    ground = (C / partition.lengths.max()) ** 2
-    return build_level_table(partition, max(ground + TAIL_EXPONENT / beta, extra_cutoff))
+def level_table(source: IntervalPartition | LevelTable, beta: float,
+                window: float = 0.0) -> LevelTable:
+    """The level table of a realization, up to max(E0 + TAIL_EXPONENT / beta, window).
+
+    A partition is enumerated; a table is returned unchanged if its cutoff
+    covers that one (ValueError if not), so one table serves every observable.
+    """
+    if not (np.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be positive, got {beta}")
+    # one expression for both paths: the scalar (C / L)^2 may be an ulp off the table's E0
+    cutoff = max((C / source.lengths.max()) ** 2 + TAIL_EXPONENT / beta, window)
+    if not isinstance(source, LevelTable):
+        return build_level_table(source, cutoff)
+    if source.energy_cutoff < cutoff:
+        raise ValueError(f"the table ends at {source.energy_cutoff:g}, below {cutoff:g}")
+    return source
 
 
 def _require_below_ground(mu: float, ground: float):
@@ -93,26 +106,26 @@ def _require_below_ground(mu: float, ground: float):
         raise DomainError(f"mu must lie below the spectral bottom {ground:g}, got {mu}")
 
 
-def pressure_finite(partition: IntervalPartition, beta: float, mu: float) -> float:
-    """Grand-canonical pressure of one partition.
+def pressure_finite(source: IntervalPartition | LevelTable, beta: float, mu: float) -> float:
+    """Grand-canonical pressure of one partition, or of its level table.
 
     -1/(beta L) * sum over levels of ln(1 - exp(-beta (E - mu))); the mode
     sums are truncated once beta (E - mu) exceeds TAIL_EXPONENT above the
     spectral bottom, with discarded tail below 1e-20 per level.
     """
-    table = _table(partition, beta)
+    table = level_table(source, beta)
     _require_below_ground(mu, table.ground_energy)
     x = beta * (table.energies - mu)
     with np.errstate(divide="ignore"):
         logs = np.log(-np.expm1(-x))
-    return -float(logs.sum()) / (beta * partition.total_length)
+    return -float(logs.sum()) / (beta * table.total_length)
 
 
-def density_finite(partition: IntervalPartition, beta: float, mu: float) -> float:
-    """Grand-canonical particle density of one partition."""
-    table = _table(partition, beta)
+def density_finite(source: IntervalPartition | LevelTable, beta: float, mu: float) -> float:
+    """Grand-canonical particle density of one partition, or of its level table."""
+    table = level_table(source, beta)
     _require_below_ground(mu, table.ground_energy)
-    return float(_bose_occupations(beta * (table.energies - mu)).sum()) / partition.total_length
+    return float(_bose_occupations(beta * (table.energies - mu)).sum()) / table.total_length
 
 
 def _ids_weight_q(q: float, intensity: float) -> float:
@@ -204,23 +217,24 @@ def critical_density_by_parts(params: ModelParams, beta: float) -> float:
 
     Independent route used to cross-check critical_density: the boundary terms
     vanish because the integrated density of states has a Lifshitz tail.
+    Integrated over E = q^2, with knots at q = C lam and q = 1/sqrt(beta).
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     lam = params.intensity
 
-    def integrand(energy: float) -> float:
-        w = _bose_derivative_weight(energy, beta)
-        if w == 0.0 or energy <= 0.0:
+    def integrand(q: float) -> float:
+        w = _bose_derivative_weight(q * q, beta)
+        if w == 0.0 or q <= 0.0:
             return 0.0
-        y = C * lam / math.sqrt(energy)
+        y = C * lam / q
         if y > EXP_CUTOFF:
             return 0.0
-        return lam * math.exp(-y) / (-math.expm1(-y)) * w
+        return 2.0 * q * lam * math.exp(-y) / (-math.expm1(-y)) * w
 
-    emax = EXP_CUTOFF / beta
-    pts = [p for p in (1.0 / beta,) if p < emax]
-    val, _ = quad(integrand, 0.0, emax, points=pts, **_QUAD_OPTS)
+    qmax = math.sqrt(EXP_CUTOFF / beta)
+    pts = sorted(p for p in {C * lam, 1.0 / math.sqrt(beta)} if p < qmax)
+    val, _ = quad(integrand, 0.0, qmax, points=pts, **_QUAD_OPTS)
     return val
 
 
@@ -260,15 +274,8 @@ def _table_density(table: LevelTable, beta: float):
     return density
 
 
-def _solve_mu_on_table(table: LevelTable, beta: float, rho: float) -> float:
-    """mu with table density rho; each Newton step passes only the levels near ground."""
-    return _log_newton(
-        _table_density(table, beta), rho, 1.0 / beta, _MU_TOLERANCE, anchor=table.ground_energy
-    )
-
-
-def solve_mu_finite(partition: IntervalPartition, beta: float, rho: float) -> float:
-    """Unique mu below the partition's spectral bottom with density_finite == rho.
+def solve_mu_finite(source: IntervalPartition | LevelTable, beta: float, rho: float) -> float:
+    """Unique mu below the spectral bottom with density_finite == rho (partition or table).
 
     Newton in ln(ground - mu), slope beta * sum n(n+1) from the same occupations
     n; it stops on a sign-verified bracket of width 1e-12 * max(1, |mu|). Levels
@@ -278,9 +285,10 @@ def solve_mu_finite(partition: IntervalPartition, beta: float, rho: float) -> fl
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    return _solve_mu_on_table(_table(partition, beta), beta, rho)
+    table = level_table(source, beta)
+    return _log_newton(
+        _table_density(table, beta), rho, 1.0 / beta, _MU_TOLERANCE, anchor=table.ground_energy
+    )
 
 
 def solve_mu_limit(params: ModelParams, beta: float, rho: float) -> float:
@@ -327,10 +335,10 @@ def condensate_finite(
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    table = _table(partition, beta, extra_cutoff=epsilon)
-    mu = _solve_mu_on_table(table, beta, rho)
+    table = level_table(partition, beta, epsilon)
+    mu = solve_mu_finite(table, beta, rho)
     window = table.energies[table.energies < epsilon]
-    return float(_bose_occupations(beta * (window - mu)).sum()) / partition.total_length
+    return float(_bose_occupations(beta * (window - mu)).sum()) / table.total_length
 
 
 def critical_density_bound(params: ModelParams, beta: float, amplitude: float) -> float:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from bec1d import critical_density, density_limit, hierarchical_critical_density
+from bec1d import critical_density, density_limit, hierarchical_critical_density, level_table
 from bec1d.errors import ConvergenceError
 from bec1d.hierarchical import hierarchical_density
 from bec1d.numerics import _bose_occupations
 from bec1d.spectrum import C_SQUARED
-from bec1d.thermodynamics import _table
 
 MU_TOLERANCE = 1e-12
 HIERARCHICAL_MU_TOLERANCE = 1e-14
@@ -23,7 +22,7 @@ TYPE2_TOLERANCE = 1e-14
 
 
 def finite_mu(partition, beta: float, rho: float) -> float:
-    table = _table(partition, beta)
+    table = level_table(partition, beta)
     ground = table.ground_energy
     volume = table.total_length
 

@@ -160,6 +160,18 @@ class TestTrialFailureIsolation:
         assert rows[0]["status"] == "trial_failures"
         assert rows[1]["failed_trials"] == "0"
 
+    def test_an_oversized_level_table_fails_the_trial(self, tmp_path):
+        # beta = 1e-9 on L = 1e6 needs ~1e11 levels: a DomainError, not a MemoryError
+        out = tmp_path / "l.csv"
+        code = run_cli([
+            "localize", "--lambda", "1", "--beta", "1e-9", "--rho", "0.5",
+            "--box-length", "1e6", "--seeds", "1", "--out", str(out),
+        ])
+        assert code == 0
+        _, rows = read_csv(out)
+        assert rows[0]["failed_trials"] == "1"
+        assert rows[0]["status"] == "trial_failures"
+
     def test_plain_value_error_propagates(self, tmp_path, monkeypatch):
         # only the typed numeric failures count as failed trials; anything
         # else is a defect and must surface

@@ -17,12 +17,13 @@ from bec1d import (
     PoissonParams,
     density_finite,
     kernel_finite,
+    level_table,
     sample_poisson_partition,
     solve_mu_finite,
 )
 from bec1d.numerics import _bose_occupations
 from bec1d.spectrum import TAIL_EXPONENT
-from bec1d.thermodynamics import _MU_TOLERANCE, _table, _table_density
+from bec1d.thermodynamics import _MU_TOLERANCE, _table_density
 
 MAX_LEVELS = 200_000
 
@@ -73,7 +74,7 @@ def gap_below_ground(beta: float, ground: float, fraction: float, smallest: floa
 @settings(max_examples=40)
 @at_corners(fraction=1.0)
 def test_split_sums_equal_direct_table_sums(intensity, beta, seed, fraction):
-    table = _table(box(intensity, beta, seed), beta)
+    table = level_table(box(intensity, beta, seed), beta)
     assert table.energies.size <= MAX_LEVELS
     ground = table.ground_energy
     mu = ground - gap_below_ground(beta, ground, fraction, 1e-9 * ground)
@@ -92,7 +93,7 @@ def test_solve_mu_finite_round_trips_under_the_sign_certificate(
     intensity, beta, seed, fraction
 ):
     part = box(intensity, beta, seed)
-    ground = _table(part, beta).ground_energy
+    ground = level_table(part, beta).ground_energy
     # at least 100 stopping widths below ground, so mu + tol stays below it
     target = ground - gap_below_ground(beta, ground, fraction, 1e-10 * max(1.0, ground))
     rho = density_finite(part, beta, target)
@@ -107,7 +108,7 @@ def test_solve_mu_finite_round_trips_under_the_sign_certificate(
 @at_corners(fractions=(0.0, 1.0))
 def test_density_finite_is_monotone_in_mu(intensity, beta, seed, fractions):
     part = box(intensity, beta, seed)
-    ground = _table(part, beta).ground_energy
+    ground = level_table(part, beta).ground_energy
     mus = sorted(ground - gap_below_ground(beta, ground, f, 1e-9 * ground) for f in fractions)
     assert density_finite(part, beta, mus[0]) <= density_finite(part, beta, mus[1])
 
@@ -125,7 +126,7 @@ def test_kernel_finite_is_bounded_by_its_value_at_coincidence(
     intensity, beta, seed, fraction, reach
 ):
     part = box(intensity, beta, seed)
-    ground = _table(part, beta).ground_energy
+    ground = level_table(part, beta).ground_energy
     mu = ground - gap_below_ground(beta, ground, fraction, 1e-9 * ground)
     at_zero = kernel_finite(part, beta, mu, 0.0)
     assert at_zero == density_finite(part, beta, mu)

@@ -1,5 +1,6 @@
 """Dirichlet spectra, counting function, and the limiting IDS."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from bec1d import spectrum
+
 from bec1d import (
     C,
     C_SQUARED,
     DomainError,
     IntervalPartition,
+    LevelTable,
     ModelParams,
     PoissonParams,
     build_level_table,
@@ -63,15 +67,40 @@ class TestLevels:
     def test_level_table_energies(self):
         part = partition([2.0, 3.0])
         table = build_level_table(part, 30.0)
-        expect = (C * table.quantum_numbers / table.lengths) ** 2
-        np.testing.assert_allclose(table.energies, expect, rtol=1e-15)
+        assert [f.name for f in dataclasses.fields(LevelTable)] == [
+            "energies", "lengths", "total_length", "energy_cutoff"
+        ]
         assert table.ground_energy == pytest.approx((C / 3.0) ** 2, rel=1e-15)
-        recs = levels_below(part, 10.0)
-        assert all(r.energy <= 10.0 for r in recs)
+        # the records below the cutoff are exactly the table's levels there, in order
+        held = table.energies <= 30.0
+        recs = levels_below(part, 30.0)
+        assert [r.energy for r in recs] == table.energies[held].tolist()
+        assert [part.lengths[r.interval_index] for r in recs] == table.lengths[held].tolist()
+        wave_numbers = [math.pi * r.quantum_number / part.lengths[r.interval_index] for r in recs]
+        np.testing.assert_allclose(np.sqrt(2.0 * table.energies[held]), wave_numbers, rtol=1e-15)
         assert all(
             r.energy == pytest.approx(dirichlet_eigenvalue(part.lengths[r.interval_index], r.quantum_number), rel=1e-14)
             for r in recs
         )
+        assert [r for r in recs if r.energy <= 10.0] == levels_below(part, 10.0)
+
+    def test_table_size_guard_raises_before_allocating(self, monkeypatch):
+        # L sqrt(E) / C ~ 4.5e9 levels: 72 GB of energies and lengths
+        huge = partition([1e6])
+        with pytest.raises(DomainError, match="levels"):
+            build_level_table(huge, 1e8)
+        with pytest.raises(DomainError, match="levels"):
+            levels_below(huge, 1e8)
+        # a count past the int64 range (beta = 1e-300) must not wrap around the guard
+        with pytest.raises(DomainError, match="levels"):
+            build_level_table(partition([2.0]), 6e301)
+        part = partition([2.0, 3.0])
+        size = build_level_table(part, 30.0).energies.size
+        monkeypatch.setattr(spectrum, "MAX_LEVELS", size)
+        assert build_level_table(part, 30.0).energies.size == size
+        monkeypatch.setattr(spectrum, "MAX_LEVELS", size - 1)
+        with pytest.raises(DomainError):
+            build_level_table(part, 30.0)
 
 
 class TestCountingFunction:

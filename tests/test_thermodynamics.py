@@ -21,6 +21,8 @@ from bec1d import (
     critical_density_by_parts,
     density_finite,
     density_limit,
+    kernel_finite,
+    level_table,
     pressure_finite,
     pressure_limit,
     sample_poisson_partition,
@@ -71,6 +73,50 @@ class TestFiniteVolume:
             pressure_finite(part, 1.0, bottom)
         with pytest.raises(DomainError):
             density_finite(part, 1.0, bottom + 0.1)
+
+
+class TestLevelTable:
+    PART = sample_poisson_partition(300.0, PoissonParams(1.0, seed=13))
+
+    def test_a_covering_table_is_returned_unchanged(self):
+        table = level_table(self.PART, 1.0, 0.5)
+        assert level_table(table, 1.0, 0.5) is table
+        assert level_table(table, 2.0) is table
+        assert level_table(table, 1.0, 0.1) is table
+
+    def test_observables_on_the_table_equal_those_on_the_partition(self):
+        table = level_table(self.PART, 1.0)
+        mu = solve_mu_finite(self.PART, 1.0, 0.4)
+        assert solve_mu_finite(table, 1.0, 0.4) == mu
+        assert density_finite(table, 1.0, mu) == density_finite(self.PART, 1.0, mu)
+        assert pressure_finite(table, 1.0, mu) == pressure_finite(self.PART, 1.0, mu)
+        for r in (0.0, 1.5, 7.0):
+            assert kernel_finite(table, 1.0, mu, r) == kernel_finite(self.PART, 1.0, mu, r)
+
+    def test_a_table_covers_its_own_cutoff(self):
+        # here the scalar (C / L)^2 is one ulp below the table's ground level,
+        # which pushed the recomputed cutoff past the table's own
+        part = partition([7.8562202568770445, 1.0])
+        table = level_table(part, 1.0)
+        assert level_table(table, 1.0) is table
+        assert solve_mu_finite(table, 1.0, 0.1) == solve_mu_finite(part, 1.0, 0.1)
+        assert condensate_finite(part, 1.0, 0.1, 0.5) > 0.0
+
+    def test_rejects_a_table_that_ends_too_low(self):
+        table = level_table(self.PART, 2.0)
+        with pytest.raises(ValueError, match="table ends"):
+            level_table(table, 1.0)
+        with pytest.raises(ValueError, match="table ends"):
+            solve_mu_finite(table, 1.0, 0.4)
+        with pytest.raises(ValueError, match="table ends"):
+            level_table(table, 2.0, table.energy_cutoff * 2.0)
+
+    def test_rejects_non_positive_beta(self):
+        table = level_table(self.PART, 1.0)
+        for beta in (0.0, -1.0, math.nan):
+            for source in (self.PART, table):
+                with pytest.raises(ValueError, match="beta"):
+                    level_table(source, beta)
 
 
 class TestLimits:
@@ -208,12 +254,7 @@ class TestIntegrationRange:
         assert kernel_tail <= 1e-19
 
     @pytest.mark.parametrize("lam, beta", [
-        pytest.param(lam, beta, marks=pytest.mark.xfail(
-            strict=True,
-            reason="the by-parts quad misses the peak near E = (C lambda)^2 on "
-                   "[0, 745 / beta] and returns -18.4 against 666648",
-        )) if (lam, beta) == (1e-3, 1e-3) else (lam, beta)
-        for lam in _TAIL_LAMBDAS for beta in _TAIL_BETAS
+        (lam, beta) for lam in _TAIL_LAMBDAS for beta in _TAIL_BETAS
     ])
     def test_by_parts_route_still_agrees(self, lam, beta):
         # by parts keeps the full range, so it checks the shortened one
