@@ -72,7 +72,6 @@ from .hierarchical import (
     CondensateType,
     HierarchicalLayout,
     LayoutKind,
-    OccupationEntry,
     OccupationProfile,
     build_layout,
     classify_condensate,

@@ -143,16 +143,19 @@ def _trial_partition(cfg: ExperimentConfig, box_length: float, trial: int) -> In
     return IntervalPartition(lengths, box_length, lengths.size - 1)
 
 
-def _mc_rows(cfg, grid_name, grid, per_trial, analytic_for):
-    """Shared sweep driver: per-trial values per grid point, failure-isolated."""
+def _sweep(cfg, grid, per_trial):
+    """Shared trial loop: per-trial values and failure counts per grid point.
+
+    per_trial(trial) returns a function of the grid point. A trial's setup
+    failure loses the trial at every grid point; a failure at one grid point
+    loses it there only. The sweep continues either way.
+    """
     samples = {g: [] for g in grid}
     failures = {g: 0 for g in grid}
     for trial in range(cfg.seeds):
         try:
             produced = per_trial(trial)
         except _TRIAL_ERRORS:
-            # setup for this trial failed (sampling or a per-trial solve):
-            # every grid point loses the trial, the sweep continues
             for g in grid:
                 failures[g] += 1
             continue
@@ -163,6 +166,12 @@ def _mc_rows(cfg, grid_name, grid, per_trial, analytic_for):
                 failures[g] += 1
                 continue
             samples[g].append(value)
+    return samples, failures
+
+
+def _mc_rows(cfg, grid_name, grid, per_trial, analytic_for):
+    """Mean and std of the swept per-trial values, one row per grid point."""
+    samples, failures = _sweep(cfg, grid, per_trial)
     rows = []
     for g in grid:
         vals = np.asarray(samples[g])
@@ -198,31 +207,21 @@ def _run_ids(cfg: ExperimentConfig):
 
 def _run_thermo(cfg: ExperimentConfig):
     params = ModelParams(cfg.intensity)
-    ladder = cfg.l_ladder or [cfg.box_length]
     if cfg.mu is not None:
-        observable = "density"
+        observable, fixed, finite = "density", cfg.mu, density_finite
         analytic_value = density_limit(params, cfg.beta, cfg.mu)
-
-        def per_trial_factory(box):
-            def per_trial(trial):
-                part = _trial_partition(cfg, box, trial)
-                return lambda _: density_finite(part, cfg.beta, cfg.mu)
-            return per_trial
     else:
-        observable = "mu"
+        observable, fixed, finite = "mu", cfg.rho, solve_mu_finite
         analytic_value = solve_mu_limit(params, cfg.beta, cfg.rho)
 
-        def per_trial_factory(box):
-            def per_trial(trial):
-                part = _trial_partition(cfg, box, trial)
-                return lambda _: solve_mu_finite(part, cfg.beta, cfg.rho)
-            return per_trial
+    def per_trial(trial):
+        # every box draws its partition afresh from the trial's stream
+        return lambda box: finite(_trial_partition(cfg, box, trial), cfg.beta, fixed)
 
-    rows = []
-    for box in ladder:
-        row = _mc_rows(cfg, "box_length", [box], per_trial_factory(box), lambda _: analytic_value)[0]
+    rows = _mc_rows(cfg, "box_length", cfg.l_ladder or [cfg.box_length], per_trial,
+                    lambda _: analytic_value)
+    for row in rows:
         row["observable"] = observable
-        rows.append(row)
     meta = {"critical_density": critical_density(params, cfg.beta)}
     return rows, meta
 
@@ -252,25 +251,31 @@ def _run_correlate(cfg: ExperimentConfig):
 
 def _run_hierarchy(cfg: ExperimentConfig):
     rho_c = hierarchical_critical_density(cfg.intensity, cfg.beta)
+    threshold = 0.01 * max(cfg.rho - rho_c, 1e-300)
     rows = []
     profiles = []
     for box in cfg.l_ladder:
-        layout = build_layout(cfg.kind, box, cfg.intensity, cfg.m_large)
+        try:
+            layout = build_layout(cfg.kind, box, cfg.intensity, cfg.m_large)
+        except ValueError as err:
+            raise UsageError(str(err)) from err
         profile = occupation_profile(layout, cfg.beta, cfg.rho)
         profiles.append(profile)
-        macro = profile.macroscopic(0.01 * max(cfg.rho - rho_c, 1e-300))
         rows.append({
             "box_length": box,
             "mu_solved": profile.mu_used,
             "total_density": profile.total_density(),
-            "max_state_density": max((e.density for e in profile.entries), default=0.0),
-            "macro_states": len(macro),
+            "max_state_density": float(max(profile.large.max(), profile.small.max())),
+            "macro_states": profile.macroscopic_count(threshold),
             "analytic": rho_c,
             "status": "ok",
         })
     meta = {"critical_density": rho_c}
     if len(profiles) >= 3:
-        result = classify_condensate(profiles)
+        try:
+            result = classify_condensate(profiles)
+        except ValueError as err:
+            raise UsageError(str(err)) from err
         meta["classification"] = result.label.value
     return rows, meta
 
@@ -310,34 +315,28 @@ def _run_orderstats(cfg: ExperimentConfig):
 
 def _run_localize(cfg: ExperimentConfig):
     ladder = cfg.l_ladder or [cfg.box_length]
+
+    def per_trial(trial):
+        return lambda box: ground_state_share(_trial_partition(cfg, box, trial), cfg.beta,
+                                              cfg.rho, cfg.epsilon)
+
+    samples, failures = _sweep(cfg, ladder, per_trial)
     rows = []
     for box in ladder:
-        fractions, ties, empty, failed = [], 0, 0, 0
-        for trial in range(cfg.seeds):
-            try:
-                part = _trial_partition(cfg, box, trial)
-                share = ground_state_share(part, cfg.beta, cfg.rho, cfg.epsilon)
-            except _TRIAL_ERRORS:
-                failed += 1
-                continue
-            ties += int(share.tie)
-            if share.window_levels == 0:
-                empty += 1
-            else:
-                fractions.append(share.fraction)
-        vals = np.asarray(fractions)
+        shares = samples[box]
+        vals = np.asarray([s.fraction for s in shares if s.window_levels > 0])
         rows.append({
             "box_length": box,
             "trials": cfg.seeds,
-            "failed_trials": failed,
-            "empty_windows": empty,
-            "ties": ties,
+            "failed_trials": failures[box],
+            "empty_windows": sum(s.window_levels == 0 for s in shares),
+            "ties": sum(int(s.tie) for s in shares),
             "mc_mean": float(vals.mean()) if vals.size else float("nan"),
             "mc_std": float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
             "median_fraction": float(np.median(vals)) if vals.size else float("nan"),
             "analytic": None,
             "rel_deviation": None,
-            "status": "ok" if failed == 0 else "trial_failures",
+            "status": "ok" if failures[box] == 0 else "trial_failures",
         })
     return rows, {"epsilon": cfg.epsilon}
 

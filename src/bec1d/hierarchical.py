@@ -206,63 +206,55 @@ def solve_type2_coefficient(intensity: float, beta: float, rho: float) -> float:
     return _log_newton(total, target, 1.0 / target, 1e-14, sign=1.0)
 
 
-@dataclass(frozen=True)
-class OccupationEntry:
-    """Per-state occupation density with its class multiplicity.
+def _weighted_sum(large: np.ndarray, large_count: int, small: np.ndarray, small_count: int) -> float:
+    """Exactly rounded sum of per-state densities weighted by their multiplicities.
 
-    `density` is the volume-normalized occupation of one state in one
-    interval; aggregate contributions are density * multiplicity. Small-bulk
-    entries carry interval_index -1 and multiplicity small_count.
+    Each large density enters once per large interval rather than as
+    density * large_count, so the sum carries one rounding, not one per state.
+    """
+    return math.fsum(np.concatenate((np.tile(large, large_count), small * small_count)))
+
+
+@dataclass(frozen=True, eq=False)
+class OccupationProfile:
+    """Per-state occupation densities of a layout at a target density.
+
+    `large[s - 1]` is the volume-normalized occupation of mode s in one large
+    interval and `small[s - 1]` that of mode s in one small interval; the
+    layout's large_count and small_count are their multiplicities.
     """
 
-    interval_class: str
-    interval_index: int
-    quantum_number: int
-    density: float
-    multiplicity: int
-
-
-@dataclass(frozen=True)
-class OccupationProfile:
-    """All per-state occupation densities of a layout at a target density."""
-
-    entries: tuple[OccupationEntry, ...]
+    large: np.ndarray
+    small: np.ndarray
+    large_count: int
+    small_count: int
     mu_used: float
     box_length: float
     rho: float
     rho_c: float
 
     def total_density(self) -> float:
-        return math.fsum(e.density * e.multiplicity for e in self.entries)
+        return _weighted_sum(self.large, self.large_count, self.small, self.small_count)
 
-    def macroscopic(self, threshold: float) -> list[OccupationEntry]:
-        return [e for e in self.entries if e.density > threshold]
+    def macroscopic_count(self, threshold: float) -> int:
+        """States with density above threshold: each large interval's count
+        separately, the identical small intervals once as one bulk."""
+        return (int(np.count_nonzero(self.large > threshold)) * self.large_count
+                + int(np.count_nonzero(self.small > threshold)))
 
 
 def occupation_profile(layout: HierarchicalLayout, beta: float, rho: float) -> OccupationProfile:
-    """Solve for mu and record every state's occupation density.
-
-    Ground states of the large intervals are listed separately per interval;
-    the identical small intervals are folded into multiplicity-weighted
-    entries.
-    """
+    """Solve for mu and record the occupation density of every thermally
+    relevant mode of one large and one small interval."""
     mu = solve_mu_hierarchical(layout, beta, rho)
     volume = layout.total_length
-    entries: list[OccupationEntry] = []
-    large = _tower_occupations(layout.large_length, beta, mu) / volume
-    for j in range(layout.large_count):
-        entries.extend(
-            OccupationEntry("large", j, s + 1, float(d), 1) for s, d in enumerate(large)
-        )
-    small = _tower_occupations(layout.small_length, beta, mu) / volume
-    entries.extend(
-        OccupationEntry("small", -1, s + 1, float(d), layout.small_count)
-        for s, d in enumerate(small)
-    )
     return OccupationProfile(
-        entries=tuple(entries),
+        large=_tower_occupations(layout.large_length, beta, mu) / volume,
+        small=_tower_occupations(layout.small_length, beta, mu) / volume,
+        large_count=layout.large_count,
+        small_count=layout.small_count,
         mu_used=mu,
-        box_length=layout.total_length,
+        box_length=volume,
         rho=rho,
         rho_c=hierarchical_critical_density(layout.intensity, beta),
     )
@@ -307,20 +299,15 @@ def classify_condensate(profiles: list[OccupationProfile]) -> ClassificationResu
     threshold = 0.01 * rho0
 
     def census(profile: OccupationProfile):
-        macro = profile.macroscopic(threshold)
-        hosts: dict[tuple[str, int], int] = {}
-        for entry in macro:
-            hosts[(entry.interval_class, entry.interval_index)] = (
-                hosts.get((entry.interval_class, entry.interval_index), 0) + 1
-            )
-        mass = math.fsum(e.density * e.multiplicity for e in macro)
+        large = profile.large[profile.large > threshold]
+        small = profile.small[profile.small > threshold]
         return {
-            "count": len(macro),
-            "spread": len(hosts),
-            "per_interval_max": max(hosts.values(), default=0),
-            "small_macro": any(e.interval_class == "small" for e in macro),
-            "mass": mass,
-            "max_density": max((e.density for e in macro), default=0.0),
+            "count": profile.macroscopic_count(threshold),
+            "spread": (profile.large_count if large.size else 0) + (1 if small.size else 0),
+            "per_interval_max": max(large.size, small.size),
+            "small_macro": small.size > 0,
+            "mass": _weighted_sum(large, profile.large_count, small, profile.small_count),
+            "max_density": float(max(large.max(initial=0.0), small.max(initial=0.0))),
         }
 
     stats = [census(p) for p in profiles]

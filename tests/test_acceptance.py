@@ -396,11 +396,7 @@ class TestCriterion10:
         # bulk normal density: dev * ln^2(L) runs 6.58, 5.33, 5.06, 5.01, 5.00,
         # 4.98 for L = 1e6 ... 1e12, so 1% holds from L ~ 5e9 on (0.94% at 1e10).
         profile = occupation_profile(build_layout("type1", 1e10, 1.0, 3), 1.0, self.RHO)
-        grounds = [
-            e.density
-            for e in profile.entries
-            if e.interval_class == "large" and e.quantum_number == 1
-        ]
+        grounds = [profile.large[0]] * profile.large_count
         rho_0 = self.RHO - HIER_RHO_C
         devs = [abs(g - rho_0 / 3.0) / (rho_0 / 3.0) for g in grounds]
         ok = max(devs) < 0.01
@@ -414,11 +410,7 @@ class TestCriterion10:
         spreads, offsets = [], []
         for box in self.LADDER:
             profile = occupation_profile(build_layout("type1", box, 1.0, 3), 1.0, self.RHO)
-            grounds = [
-                e.density
-                for e in profile.entries
-                if e.interval_class == "large" and e.quantum_number == 1
-            ]
+            grounds = [profile.large[0]] * profile.large_count
             spreads.append((max(grounds) - min(grounds)) / max(grounds))
             offsets.append(abs(sum(grounds) - rho_0) / rho_0)
         ok = max(spreads) < 1e-12 and offsets[0] > offsets[1] > offsets[2]

@@ -113,6 +113,18 @@ class TestValidation:
         ])
         assert code == 4
 
+    @pytest.mark.parametrize("extra", [
+        ["--kind", "type2", "--m-large", "3", "--l-ladder", "1e4 1e5 1e6"],
+        ["--m-large", "0", "--l-ladder", "1e4 1e5 1e6"],
+        ["--l-ladder", "1e4 1.5e4 2e4"],  # box ratio <= 2: the classifier rejects the ladder
+    ])
+    def test_hierarchy_layout_and_ladder_errors(self, tmp_path, extra):
+        out = tmp_path / "h.csv"
+        code = run_cli(["hierarchy", "--rho", "0.015", "--out", str(out), *extra])
+        assert code == 2
+        assert not out.exists()
+        assert not (tmp_path / "h.csv.meta.json").exists()
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"command": "ids", "bogus": 1}))
