@@ -230,13 +230,12 @@ class TestProfiles:
     def test_large_count_is_a_multiplicity(self):
         # three identical large intervals: three macroscopic ground states,
         # one per interval, from a single stored tower
-        layout = build_layout("type1", 1e6, 1.0, large_count=3)
-        profile = occupation_profile(layout, BETA, RHO)
-        assert profile.large_count == 3 and profile.small_count == layout.small_count
-        assert profile.macroscopic_count(0.01 * (RHO - RHO_C)) == 3
-        census = classify_condensate(
-            [occupation_profile(build_layout("type1", box, 1.0, 3), BETA, RHO) for box in LADDER]
-        ).diagnostics["census"][-1]
+        profiles = [
+            occupation_profile(build_layout("type1", box, 1.0, 3), BETA, RHO) for box in LADDER
+        ]
+        assert profiles[-1].box_length == 1e6 and profiles[-1].large_count == 3
+        assert profiles[-1].macroscopic_count(0.01 * (RHO - RHO_C)) == 3
+        census = classify_condensate(profiles).diagnostics["census"][-1]
         assert census["count"] == 3
         assert census["spread"] == 3
         assert census["per_interval_max"] == 1
