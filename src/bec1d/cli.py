@@ -95,6 +95,10 @@ class ExperimentConfig:
                            ("--l-ladder", self.l_ladder)):
             if grid and any(b <= a for a, b in zip(grid[:-1], grid[1:])):
                 raise UsageError(f"{name} must be strictly increasing, got {grid}")
+        for name, values in (("--box-length", [self.box_length]), ("--e-grid", self.e_grid),
+                             ("--l-ladder", self.l_ladder)):
+            if not all(np.isfinite(v) and v > 0 for v in values):
+                raise UsageError(f"{name} must be positive and finite, got {values}")
         if self.mu is not None and self.rho is not None:
             raise UsageError("set at most one of --mu and --rho")
         if self.rho is not None and self.rho <= 0:

@@ -98,13 +98,21 @@ def kernel_finite(source: IntervalPartition | LevelTable, beta: float, mu: float
     table = level_table(source, beta)
     _require_below_ground(mu, table.ground_energy)
     r = abs(float(r))
-    keep = table.lengths > r
-    energies, lens = table.energies[keep], table.lengths[keep]
-    occ = _bose_occupations(beta * (energies - mu))
-    k = np.sqrt(2.0 * energies)  # pi s / L
-    kr = k * r
-    weights = np.cos(kr) * (1.0 - r / lens) + np.sin(kr) / (k * lens)
-    return float((occ * weights).sum()) / table.total_length
+    energies, lens = table.energies, table.lengths
+    keep = lens > r
+    if not keep.all():
+        energies, lens = energies[keep], lens[keep]
+    occ = np.subtract(energies, mu)  # occupations, k, sin(kr) and weights: four work arrays
+    _bose_occupations(np.multiply(beta, occ, out=occ), out=occ)
+    k = np.multiply(2.0, energies)
+    np.sqrt(k, out=k)  # pi s / L
+    sine = np.multiply(k, r)
+    weights = np.cos(sine)  # to become cos(kr) (1 - r/L) + sin(kr) / (kL)
+    np.divide(np.sin(sine, out=sine), np.multiply(k, lens, out=k), out=sine)
+    weights *= np.subtract(1.0, np.divide(r, lens, out=k), out=k)
+    weights += sine
+    weights *= occ
+    return float(weights.sum()) / table.total_length
 
 
 def _limit_integrand(q, intensity: float, beta: float, mu: float, r: float):

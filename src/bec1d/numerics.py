@@ -3,6 +3,10 @@
 chemical-potential solve, and the batched Gauss-Kronrod quadrature behind the
 limit kernel. Leading underscores keep the functions out of perfbench's
 per-layer trace, so their time counts toward the calling layer.
+
+Per-step array kernels write into work arrays allocated once per call (the
+`out=` of numpy ufuncs and of _bose_occupations): a fresh temporary of 50k
+doubles or more page-faults anew on every Newton step or separation.
 """
 
 import math
@@ -59,10 +63,14 @@ def _bose_factor(x: float) -> float:
     return math.exp(-x) / (-math.expm1(-x))
 
 
-def _bose_occupations(x: np.ndarray) -> np.ndarray:
-    """Elementwise 1 / (e^x - 1) for x > 0, flushed to 0 beyond EXP_CUTOFF."""
+def _bose_occupations(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise 1 / (e^x - 1) for x > 0, flushed to 0 beyond EXP_CUTOFF; out may be x."""
+    beyond = x > EXP_CUTOFF
+    out = np.minimum(x, EXP_CUTOFF, out=np.empty(np.shape(x)) if out is None else out)
     with np.errstate(over="ignore"):
-        return np.where(x > EXP_CUTOFF, 0.0, 1.0 / np.expm1(np.minimum(x, EXP_CUTOFF)))
+        np.divide(1.0, np.expm1(out, out=out), out=out)
+    np.copyto(out, 0.0, where=beyond)
+    return out
 
 
 def _log_newton(density, target, gap, rtol, anchor=0.0, sign=-1.0) -> float:

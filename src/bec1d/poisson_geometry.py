@@ -131,6 +131,8 @@ def sample_uniform_partition(total_length: float, n_intervals: int, seed) -> Int
 
 def poisson_lengths(intensity: float, total_length: float, rng: np.random.Generator) -> np.ndarray:
     """Interval lengths of one Poisson impurity configuration (internal driver path)."""
+    if not (math.isfinite(total_length) and total_length > 0):  # L = 0 would redraw forever
+        raise DomainError(f"total_length must be positive and finite, got {total_length}")
     mean_count = intensity * total_length
     if mean_count > 2.0**62:
         raise DomainError(f"expected impurity count {mean_count:g} exceeds integer range")

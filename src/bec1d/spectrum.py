@@ -77,6 +77,10 @@ class LevelTable:
     def ground_energy(self) -> float:
         return float(self.energies.min())
 
+    @functools.cached_property
+    def longest_length(self) -> np.float64:
+        return self.lengths.max()
+
 
 def dirichlet_eigenvalue(length: float, mode: int) -> float:
     """Energy of the mode-th Dirichlet level on an interval: (1/2)(pi*mode/length)^2."""
@@ -105,11 +109,13 @@ def _modes_below(lengths: np.ndarray, energy: float) -> np.ndarray:
     corrected by one strict comparison in each direction so float rounding of
     L * sqrt(E) / C cannot flip a boundary case.
     """
-    x = lengths * (math.sqrt(energy) / C)
-    n = np.floor(x)
-    n = np.where((C * n / lengths) ** 2 >= energy, n - 1.0, n)
-    n = np.where((C * (n + 1.0) / lengths) ** 2 < energy, n + 1.0, n)
-    return np.maximum(n, 0.0)
+    n = lengths * (math.sqrt(energy) / C)
+    np.floor(n, out=n)
+    level = np.multiply(C, n)  # (C n / L)^2, then (C (n + 1) / L)^2, in place
+    n -= np.square(np.divide(level, lengths, out=level), out=level) >= energy
+    np.multiply(C, np.add(n, 1.0, out=level), out=level)
+    n += np.square(np.divide(level, lengths, out=level), out=level) < energy
+    return np.maximum(n, 0.0, out=n)
 
 
 def counting_function(partition: IntervalPartition, energy: float) -> float:
@@ -129,17 +135,19 @@ def _level_modes(lengths: np.ndarray, energy_cutoff: float) -> tuple[np.ndarray,
     if counts.sum() > MAX_LEVELS:
         raise DomainError(f"{counts.sum():.3g} levels up to {energy_cutoff:g} exceed {MAX_LEVELS}")
     counts = counts.astype(np.int64)
-    modes = np.ones(int(counts.sum()), dtype=np.int64)
-    # modes runs 1..count within each interval block
+    modes = np.ones(int(counts.sum()))
+    # modes runs 1..count within each interval block, as exact floats to scale in place
     modes[np.cumsum(counts)[:-1]] -= counts[:-1]
-    return counts, np.cumsum(modes)
+    return counts, np.cumsum(modes, out=modes)
 
 
 def build_level_table(partition: IntervalPartition, energy_cutoff: float) -> LevelTable:
     """Enumerate every level with energy <= energy_cutoff (at least one per interval)."""
-    counts, modes = _level_modes(partition.lengths, energy_cutoff)
+    counts, energies = _level_modes(partition.lengths, energy_cutoff)
     lens = np.repeat(partition.lengths, counts)
-    return LevelTable((C * modes / lens) ** 2, lens, partition.total_length, energy_cutoff)
+    energies *= C  # (C s / L)^2 in place
+    np.square(np.divide(energies, lens, out=energies), out=energies)
+    return LevelTable(energies, lens, partition.total_length, energy_cutoff)
 
 
 def levels_below(partition: IntervalPartition, energy_cutoff: float) -> list[SpectralLevel]:

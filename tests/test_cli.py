@@ -99,12 +99,32 @@ class TestValidation:
         assert code == 2
 
     def test_analytic_failure_exit_code(self, tmp_path):
-        # a negative energy passes grid validation but breaks the analytic column
+        # a positive mu passes validation but breaks the analytic column
         code = run_cli([
-            "ids", "--e-grid", "-1.0 1.0", "--seeds", "2", "--box-length", "100",
+            "thermo", "--mu", "0.5", "--seeds", "2", "--box-length", "100",
             "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["localize", "--rho", "0.2", "--box-length", "0"],
+        ["localize", "--rho", "0.2", "--l-ladder", "0 500"],
+        ["thermo", "--rho", "0.2", "--box-length", "-100"],
+        ["thermo", "--rho", "0.2", "--box-length", "nan"],
+        ["thermo", "--mu", "-0.5", "--box-length", "inf"],
+        ["ids", "--e-grid", "-1 2"],
+        ["ids", "--e-grid", "0.5 nan"],
+    ])
+    def test_non_positive_or_non_finite_boxes_and_energies(self, tmp_path, monkeypatch, argv):
+        # a zero box once made poisson_lengths redraw forever: fail, never loop
+        def no_partition(*args):
+            raise AssertionError("a partition was drawn")
+
+        monkeypatch.setattr(cli, "poisson_lengths", no_partition)
+        out = tmp_path / "x.csv"
+        assert run_cli([*argv, "--seeds", "2", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.meta.json").exists()
 
     def test_io_failure_exit_code(self, tmp_path):
         code = run_cli([

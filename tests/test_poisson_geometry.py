@@ -23,6 +23,8 @@ from bec1d import (
     sample_uniform_partition,
     trial_rng,
 )
+from bec1d.errors import DomainError
+from bec1d.poisson_geometry import poisson_lengths
 from util import ks_distance
 
 
@@ -45,6 +47,16 @@ class TestSampling:
         assert np.all(part.lengths > 0)
         assert part.lengths.size == part.impurity_count + 1
         assert abs(part.lengths.sum() - 500.0) <= 1e-12 * 500.0
+
+    @pytest.mark.parametrize("total_length", [0.0, -1.0, math.nan, math.inf])
+    def test_poisson_lengths_rejects_a_bad_box_before_drawing(self, total_length):
+        # a zero box once redrew forever; the stream must not even be touched
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"drew {name} for a box of length {total_length}")
+
+        with pytest.raises(DomainError, match="total_length"):
+            poisson_lengths(1.0, total_length, NoDraws())
 
     def test_scaling_covariance_is_exact_under_seed_pairing(self):
         base = sample_uniform_partition(1.0, 40, seed=123)

@@ -102,6 +102,11 @@ class TestLevelTable:
         assert solve_mu_finite(table, 1.0, 0.1) == solve_mu_finite(part, 1.0, 0.1)
         assert condensate_finite(part, 1.0, 0.1, 0.5) > 0.0
 
+    def test_the_longest_length_is_cached_on_the_table(self):
+        table = level_table(self.PART, 1.0)
+        assert level_table(table, 1.0) is table
+        assert vars(table)["longest_length"] == self.PART.lengths.max()
+
     def test_rejects_a_table_that_ends_too_low(self):
         table = level_table(self.PART, 2.0)
         with pytest.raises(ValueError, match="table ends"):

@@ -38,3 +38,8 @@ def kernel_route_bound(lam: float, beta: float, mu: float, r: float, route: str)
         calls += int(45.0 * q_max / (C * lam)) + 10
     prefactor = lam * lam * C * math.exp(-lam * r)
     return 5e-13 * density_limit(ModelParams(lam), beta, mu) + calls * 1e-16 * prefactor
+
+
+def quad_bound(value: float) -> float:
+    """Error bound of one thermodynamics quad result: epsrel 1e-12, epsabs 1e-13."""
+    return 1e-12 * abs(value) + 1e-13
