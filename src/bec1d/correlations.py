@@ -53,6 +53,7 @@ from .thermodynamics import (
     _require_below_ground,
     condensate_density,
     critical_density,
+    density_finite,
     density_limit,
     level_table,
 )
@@ -93,11 +94,14 @@ def kernel_finite(source: IntervalPartition | LevelTable, beta: float, mu: float
     """Space-averaged kernel of one partition, or of its level table, at separation r.
 
     Exactly equals the translation average of the eigenfunction double sum;
-    only intervals longer than r contribute. At r = 0 this is density_finite.
+    only intervals longer than r contribute. At r = 0 every weight is exactly 1,
+    so this is density_finite, which is returned.
     """
+    r = abs(float(r))
+    if r == 0.0:
+        return density_finite(source, beta, mu)
     table = level_table(source, beta)
     _require_below_ground(mu, table.ground_energy)
-    r = abs(float(r))
     energies, lens = table.energies, table.lengths
     keep = lens > r
     if not keep.all():
@@ -138,7 +142,7 @@ def _kernel_integral_panels(intensity: float, beta: float, mu: float, r: float) 
     knot = C / r
     edges = np.append(knot * np.arange(int(qmax / knot) + 1), qmax)
     edges = edges[np.append(True, np.diff(edges) > 0.0)]
-    total, _, _ = _gauss_kronrod(
+    total, _, _, _ = _gauss_kronrod(
         lambda q, _: _limit_integrand(q, intensity, beta, mu, r),
         edges[:-1], edges[1:], np.zeros(edges.size - 1, dtype=int), 1, _EPSABS, _EPSREL,
     )
@@ -185,7 +189,7 @@ def _kernel_integral_series(intensity: float, beta: float, mu: float, r: float) 
     first, size = 1, _SERIES_CHUNK
     while first < cap:
         modes = np.arange(first, min(first + min(size, most), cap), dtype=float)
-        terms, errors, _ = _gauss_kronrod(
+        terms, errors, _, _ = _gauss_kronrod(
             integrand, np.zeros(modes.size), np.minimum(C * modes / r, qmax),
             np.arange(modes.size), modes.size, _EPSABS, _EPSREL, width,
         )

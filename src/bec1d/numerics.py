@@ -1,8 +1,9 @@
 """Numerical kernels shared by the physics modules: the stable Bose factor
 1/(e^x - 1), in scalar and array form, the root finder behind every
 chemical-potential solve, and the batched Gauss-Kronrod quadrature behind the
-limit kernel. Leading underscores keep the functions out of perfbench's
-per-layer trace, so their time counts toward the calling layer.
+limit kernel and the limit chemical-potential solve. Leading underscores keep
+the functions out of perfbench's per-layer trace, so their time counts toward
+the calling layer.
 
 Per-step array kernels write into work arrays allocated once per call (the
 `out=` of numpy ufuncs and of _bose_occupations): a fresh temporary of 50k
@@ -156,7 +157,8 @@ def _gauss_kronrod(f, a, b, owner, n_owners, epsabs, epsrel, width=math.inf):
     f(x, owner) evaluates the integrand at an array of nodes x, one row per
     subpanel, with `owner` the matching column of owner indices. Returns the
     integral, the summed error estimate and the number of integrand
-    evaluations for each of the n_owners owners.
+    evaluations for each of the n_owners owners, and the accepted subpanels
+    as arrays (lo, hi, owner), which a later call may take as its panels.
 
     The first pass cuts every panel into pieces no wider than `width`, and
     the panels into at least _GK_MIN_SUBPANELS pieces in all. A single rule
@@ -186,6 +188,7 @@ def _gauss_kronrod(f, a, b, owner, n_owners, epsabs, epsrel, width=math.inf):
     budget = epsabs / pieces[panel]
     total, error = np.zeros(n_owners), np.zeros(n_owners)
     neval = np.zeros(n_owners, dtype=np.int64)
+    accepted = []
     for _ in range(_GK_MAX_ROUNDS):
         value, estimate = np.empty(lo.size), np.empty(lo.size)
         for start in range(0, lo.size, _GK_BLOCK):
@@ -195,8 +198,9 @@ def _gauss_kronrod(f, a, b, owner, n_owners, epsabs, epsrel, width=math.inf):
         total += np.bincount(owner[done], value[done], n_owners)
         error += np.bincount(owner[done], estimate[done], n_owners)
         neval += 21 * np.bincount(owner, minlength=n_owners)
+        accepted.append((lo[done], hi[done], owner[done]))
         if done.all():
-            return total, error, neval
+            return total, error, neval, tuple(map(np.concatenate, zip(*accepted)))
         keep = ~done
         centre = 0.5 * (lo[keep] + hi[keep])
         lo, hi = np.concatenate([lo[keep], centre]), np.concatenate([centre, hi[keep]])

@@ -20,6 +20,18 @@ discarded density tail is below 1e-20 of the density. The critical density
 by parts and the free kernel keep their full range, so the by-parts route
 stays an independent check of the cut.
 
+The limit chemical-potential solve integrates the density and its
+mu-derivative in one batched pass of numerics._gauss_kronrod per Newton step,
+two owners over the same panels: w(q) n and w(q) beta n (n + 1), with w the
+density-of-states measure and n the Bose occupation. For mu < 0 the range
+[0, q_max] does not depend on mu, so each step starts from the subpanels the
+previous step accepted (the first from the _interior_points knots); each
+subpanel is still checked against max(1e-13 / panels, 1e-12 |its integral|)
+at the new mu and bisected if it fails, so each step's error estimate stays
+within quad's bound, 1e-12 of the integral plus 1e-13. density_limit,
+pressure_limit, the critical density and its by-parts route stay on quad;
+density_limit is the independent certificate of the solved mu.
+
 The finite chemical-potential solve splits the level table once, at
 beta (E - E0) = 4 above its ground level E0. For every mu below E0 a level
 above the split has x = beta (E - mu) >= 4, so its Bose factor is the
@@ -41,7 +53,13 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError
-from .numerics import EXP_CUTOFF, _bose_factor, _bose_occupations, _log_newton
+from .numerics import (
+    EXP_CUTOFF,
+    _bose_factor,
+    _bose_occupations,
+    _gauss_kronrod,
+    _log_newton,
+)
 from .poisson_geometry import IntervalPartition
 from .spectrum import C, TAIL_EXPONENT, LevelTable, ModelParams, build_level_table
 
@@ -142,6 +160,15 @@ def _ids_weight_q(q: float, intensity: float) -> float:
     w = math.exp(-y)
     d = -math.expm1(-y)
     return intensity * intensity * C * w / (q * q * d * d)
+
+
+def _ids_weights_q(q: np.ndarray, intensity: float) -> np.ndarray:
+    """Array form of _ids_weight_q, for q > 0."""
+    y = C * intensity / q
+    d = -np.expm1(-y)
+    weights = intensity * intensity * C * np.exp(-y) / (q * q * d * d)
+    np.copyto(weights, 0.0, where=y > EXP_CUTOFF)
+    return weights
 
 
 def _q_max(beta: float, mu: float, intensity: float) -> float:
@@ -298,23 +325,55 @@ def solve_mu_finite(source: IntervalPartition | LevelTable, beta: float, rho: fl
     )
 
 
+def _limit_density(intensity: float, beta: float):
+    """density(mu) -> (density_limit, d density_limit / d mu), for every mu < 0.
+
+    Each call is one _gauss_kronrod pass with two owners over the same panels
+    of [0, q_max]: owner 0 integrates w(q) n and owner 1 w(q) beta n (n + 1),
+    with w the density-of-states measure (_ids_weight_q) and n the Bose
+    occupation at beta (q^2 - mu). The first call cuts the range at
+    _interior_points; each later call starts from the union of the subpanels
+    the previous one accepted, which it checks and bisects again at its own mu.
+    """
+    qmax = _q_max(beta, -1.0, intensity)  # the same for every mu < 0
+    edges = None
+
+    def density(mu: float) -> tuple[float, float]:
+        nonlocal edges
+        if edges is None:
+            edges = np.array([0.0, *_interior_points(beta, mu, qmax), qmax])
+
+        def integrand(q, owner):
+            n = _bose_occupations(beta * (q * q - mu))
+            return _ids_weights_q(q, intensity) * n * np.where(owner == 0, 1.0, beta * (n + 1.0))
+
+        count = edges.size - 1
+        value, _, _, (lo, hi, _) = _gauss_kronrod(
+            integrand, np.tile(edges[:-1], 2), np.tile(edges[1:], 2), np.repeat([0, 1], count),
+            2, _QUAD_OPTS["epsabs"] / count, _QUAD_OPTS["epsrel"],
+        )
+        edges = np.union1d(lo, hi)
+        return float(value[0]), float(value[1])
+
+    return density
+
+
 def solve_mu_limit(params: ModelParams, beta: float, rho: float) -> float:
     """Limiting chemical potential: the root of density_limit below zero, or 0 if condensed.
 
-    Newton in ln(-mu), one quad each for the density and its mu-derivative;
-    it stops on a sign-verified bracket of width 1e-12 * max(1, |mu|).
+    Newton in ln(-mu); it stops on a sign-verified bracket of width
+    1e-12 * max(1, |mu|). Each step integrates the density and its
+    mu-derivative in one batched Gauss-Kronrod pass over shared panels,
+    starting from the subpanels the previous step accepted (_limit_density);
+    each integral's error estimate stays below quad's bound, 1e-12 of the
+    integral plus 1e-13. density_limit stays on quad, an independent check.
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     rho_c = critical_density(params, beta)
     if rho >= rho_c:
         return 0.0
-
-    def density(mu: float) -> tuple[float, float]:
-        slope = _limit_integral(params, beta, mu, lambda e: _bose_derivative_weight(e, beta))
-        return density_limit(params, beta, mu), slope
-
-    return _log_newton(density, rho, 1.0 / beta, _MU_TOLERANCE)
+    return _log_newton(_limit_density(params.intensity, beta), rho, 1.0 / beta, _MU_TOLERANCE)
 
 
 def condensate_density(params: ModelParams, beta: float, rho: float) -> CondensateReport:

@@ -22,6 +22,7 @@ from bec1d import (
     kernel_finite_bruteforce,
     kernel_limit,
     kernel_with_condensate,
+    level_table,
     odlro,
     sample_poisson_partition,
     solve_mu_limit,
@@ -45,11 +46,13 @@ def free_kernel_gaussian_sum(beta, mu, r, terms=1200):
 
 
 class TestKernelFinite:
-    def test_coincident_points_reproduce_density(self):
-        part = sample_poisson_partition(400.0, PoissonParams(1.0, seed=21))
-        assert kernel_finite(part, 1.0, -0.5, 0.0) == pytest.approx(
-            density_finite(part, 1.0, -0.5), rel=1e-14
-        )
+    @pytest.mark.parametrize("box, beta", [(400.0, 1.0), (2000.0, 0.5), (6e4, 0.25)])
+    def test_coincident_points_reproduce_density(self, box, beta):
+        # every weight is exactly 1 at r = 0, so the value is density_finite's bit for bit
+        table = level_table(sample_poisson_partition(box, PoissonParams(1.0, seed=21)), beta)
+        for gap in (1e-3, 0.1, 2.0):
+            mu = table.ground_energy - gap / beta
+            assert kernel_finite(table, beta, mu, 0.0) == density_finite(table, beta, mu)
 
     def test_separation_beyond_every_interval(self):
         part = partition([2.0, 3.0, 1.0])
@@ -161,9 +164,9 @@ class TestSeriesErrorCheck:
         calls = []
 
         def inflated(*args):
-            value, error, neval = numerics._gauss_kronrod(*args)
+            value, error, neval, accepted = numerics._gauss_kronrod(*args)
             calls.append(args[4])
-            return value, 1e9 * error, neval
+            return value, 1e9 * error, neval, accepted
 
         monkeypatch.setattr(correlations, "_gauss_kronrod", inflated)
         with pytest.raises(ConvergenceError, match="error estimate"):

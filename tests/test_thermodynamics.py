@@ -29,9 +29,17 @@ from bec1d import (
     solve_mu_finite,
     solve_mu_limit,
 )
+from bec1d import thermodynamics
 from bec1d.correlations import _limit_integrand
 from bec1d.numerics import EXP_CUTOFF, _bose_factor
-from bec1d.thermodynamics import _ids_weight_q, _q_max
+from bec1d.thermodynamics import (
+    _bose_derivative_weight,
+    _ids_weight_q,
+    _limit_density,
+    _limit_integral,
+    _q_max,
+)
+from util import quad_bound
 
 PARAMS = ModelParams(1.0)
 
@@ -281,6 +289,48 @@ class TestMuSolvers:
         mu = solve_mu_limit(PARAMS, 1.0, rho)
         assert mu < 0
         assert density_limit(PARAMS, 1.0, mu) == pytest.approx(rho, rel=1e-10)
+
+    def test_limit_solve_calls_quad_only_for_the_critical_density(self, monkeypatch):
+        rho = 0.5 * critical_density(PARAMS, 1.0)  # cached from here on
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(thermodynamics, "quad", counted)
+        mu = solve_mu_limit(PARAMS, 1.0, rho)
+        assert calls == []
+        density_limit(PARAMS, 1.0, mu)  # the independent certificate stays on quad
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_batched_density_and_slope_equal_quad(self, lam, beta):
+        # one closure over the three mu, so the later ones reuse earlier subpanels
+        params = ModelParams(lam)
+        density = _limit_density(lam, beta)
+        for beta_mu in (-1.0, -0.1, -1e-4):
+            mu = beta_mu / beta
+            value, slope = density(mu)
+            direct = density_limit(params, beta, mu)
+            direct_slope = _limit_integral(
+                params, beta, mu, lambda e: _bose_derivative_weight(e, beta)
+            )
+            assert abs(value - direct) <= quad_bound(value) + quad_bound(direct)
+            assert abs(slope - direct_slope) <= quad_bound(slope) + quad_bound(direct_slope)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("deficit", [1e-4, 1e-7])
+    def test_limit_round_trip_near_the_critical_density(self, lam, beta, deficit):
+        # mu -> 0^-, where the reused subpanels come from much larger |mu|
+        params = ModelParams(lam)
+        rho = (1.0 - deficit) * critical_density(params, beta)
+        mu = solve_mu_limit(params, beta, rho)
+        tol = 1e-12 * max(1.0, abs(mu))
+        assert mu < 0
+        assert density_limit(params, beta, mu - tol) < rho <= density_limit(params, beta, mu + tol)
 
     def test_limit_condensed_pins_to_zero(self):
         rho_c = critical_density(PARAMS, 1.0)
