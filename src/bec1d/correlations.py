@@ -142,7 +142,7 @@ def _kernel_integral_panels(intensity: float, beta: float, mu: float, r: float) 
     knot = C / r
     edges = np.append(knot * np.arange(int(qmax / knot) + 1), qmax)
     edges = edges[np.append(True, np.diff(edges) > 0.0)]
-    total, _, _, _ = _gauss_kronrod(
+    total, _, _ = _gauss_kronrod(
         lambda q, _: _limit_integrand(q, intensity, beta, mu, r),
         edges[:-1], edges[1:], np.zeros(edges.size - 1, dtype=int), 1, _EPSABS, _EPSREL,
     )
@@ -189,7 +189,7 @@ def _kernel_integral_series(intensity: float, beta: float, mu: float, r: float) 
     first, size = 1, _SERIES_CHUNK
     while first < cap:
         modes = np.arange(first, min(first + min(size, most), cap), dtype=float)
-        terms, errors, _, _ = _gauss_kronrod(
+        terms, errors, _ = _gauss_kronrod(
             integrand, np.zeros(modes.size), np.minimum(C * modes / r, qmax),
             np.arange(modes.size), modes.size, _EPSABS, _EPSREL, width,
         )

@@ -157,8 +157,7 @@ def _gauss_kronrod(f, a, b, owner, n_owners, epsabs, epsrel, width=math.inf):
     f(x, owner) evaluates the integrand at an array of nodes x, one row per
     subpanel, with `owner` the matching column of owner indices. Returns the
     integral, the summed error estimate and the number of integrand
-    evaluations for each of the n_owners owners, and the accepted subpanels
-    as arrays (lo, hi, owner), which a later call may take as its panels.
+    evaluations for each of the n_owners owners.
 
     The first pass cuts every panel into pieces no wider than `width`, and
     the panels into at least _GK_MIN_SUBPANELS pieces in all. A single rule
@@ -188,7 +187,6 @@ def _gauss_kronrod(f, a, b, owner, n_owners, epsabs, epsrel, width=math.inf):
     budget = epsabs / pieces[panel]
     total, error = np.zeros(n_owners), np.zeros(n_owners)
     neval = np.zeros(n_owners, dtype=np.int64)
-    accepted = []
     for _ in range(_GK_MAX_ROUNDS):
         value, estimate = np.empty(lo.size), np.empty(lo.size)
         for start in range(0, lo.size, _GK_BLOCK):
@@ -198,9 +196,8 @@ def _gauss_kronrod(f, a, b, owner, n_owners, epsabs, epsrel, width=math.inf):
         total += np.bincount(owner[done], value[done], n_owners)
         error += np.bincount(owner[done], estimate[done], n_owners)
         neval += 21 * np.bincount(owner, minlength=n_owners)
-        accepted.append((lo[done], hi[done], owner[done]))
         if done.all():
-            return total, error, neval, tuple(map(np.concatenate, zip(*accepted)))
+            return total, error, neval
         keep = ~done
         centre = 0.5 * (lo[keep] + hi[keep])
         lo, hi = np.concatenate([lo[keep], centre]), np.concatenate([centre, hi[keep]])

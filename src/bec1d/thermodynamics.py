@@ -24,11 +24,11 @@ The limit chemical-potential solve integrates the density and its
 mu-derivative in one batched pass of numerics._gauss_kronrod per Newton step,
 two owners over the same panels: w(q) n and w(q) beta n (n + 1), with w the
 density-of-states measure and n the Bose occupation. For mu < 0 the range
-[0, q_max] does not depend on mu, so each step starts from the subpanels the
-previous step accepted (the first from the _interior_points knots); each
-subpanel is still checked against max(1e-13 / panels, 1e-12 |its integral|)
-at the new mu and bisected if it fails, so each step's error estimate stays
-within quad's bound, 1e-12 of the integral plus 1e-13. density_limit,
+[0, q_max] does not depend on mu, so every step starts from the same panels,
+cut at the _interior_points knots of the first Newton point mu = -1/beta;
+each subpanel is checked against max(1e-13 / subpanels, 1e-12 |its integral|)
+at the step's mu and bisected if it fails, so each step's error estimate
+stays within quad's bound, 1e-12 of the integral plus 1e-13. density_limit,
 pressure_limit, the critical density and its by-parts route stay on quad;
 density_limit is the independent certificate of the solved mu.
 
@@ -331,28 +331,23 @@ def _limit_density(intensity: float, beta: float):
     Each call is one _gauss_kronrod pass with two owners over the same panels
     of [0, q_max]: owner 0 integrates w(q) n and owner 1 w(q) beta n (n + 1),
     with w the density-of-states measure (_ids_weight_q) and n the Bose
-    occupation at beta (q^2 - mu). The first call cuts the range at
-    _interior_points; each later call starts from the union of the subpanels
-    the previous one accepted, which it checks and bisects again at its own mu.
+    occupation at beta (q^2 - mu). Neither q_max nor the panels depend on
+    mu < 0: they are cut at _interior_points of mu = -1/beta, the first Newton
+    point of solve_mu_limit, and each call bisects what fails at its own mu.
     """
-    qmax = _q_max(beta, -1.0, intensity)  # the same for every mu < 0
-    edges = None
+    qmax = _q_max(beta, -1.0, intensity)
+    edges = np.array([0.0, *_interior_points(beta, -1.0 / beta, qmax), qmax])
+    count = edges.size - 1
+    a, b, owners = np.tile(edges[:-1], 2), np.tile(edges[1:], 2), np.repeat([0, 1], count)
 
     def density(mu: float) -> tuple[float, float]:
-        nonlocal edges
-        if edges is None:
-            edges = np.array([0.0, *_interior_points(beta, mu, qmax), qmax])
-
         def integrand(q, owner):
             n = _bose_occupations(beta * (q * q - mu))
             return _ids_weights_q(q, intensity) * n * np.where(owner == 0, 1.0, beta * (n + 1.0))
 
-        count = edges.size - 1
-        value, _, _, (lo, hi, _) = _gauss_kronrod(
-            integrand, np.tile(edges[:-1], 2), np.tile(edges[1:], 2), np.repeat([0, 1], count),
-            2, _QUAD_OPTS["epsabs"] / count, _QUAD_OPTS["epsrel"],
+        value, _, _ = _gauss_kronrod(
+            integrand, a, b, owners, 2, _QUAD_OPTS["epsabs"] / count, _QUAD_OPTS["epsrel"]
         )
-        edges = np.union1d(lo, hi)
         return float(value[0]), float(value[1])
 
     return density
@@ -363,10 +358,10 @@ def solve_mu_limit(params: ModelParams, beta: float, rho: float) -> float:
 
     Newton in ln(-mu); it stops on a sign-verified bracket of width
     1e-12 * max(1, |mu|). Each step integrates the density and its
-    mu-derivative in one batched Gauss-Kronrod pass over shared panels,
-    starting from the subpanels the previous step accepted (_limit_density);
-    each integral's error estimate stays below quad's bound, 1e-12 of the
-    integral plus 1e-13. density_limit stays on quad, an independent check.
+    mu-derivative in one batched Gauss-Kronrod pass over panels shared by
+    both integrals and by every step (_limit_density); each integral's error
+    estimate stays below quad's bound, 1e-12 of the integral plus 1e-13.
+    density_limit stays on quad, an independent check.
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")

@@ -164,9 +164,9 @@ class TestSeriesErrorCheck:
         calls = []
 
         def inflated(*args):
-            value, error, neval, accepted = numerics._gauss_kronrod(*args)
+            value, error, neval = numerics._gauss_kronrod(*args)
             calls.append(args[4])
-            return value, 1e9 * error, neval, accepted
+            return value, 1e9 * error, neval
 
         monkeypatch.setattr(correlations, "_gauss_kronrod", inflated)
         with pytest.raises(ConvergenceError, match="error estimate"):

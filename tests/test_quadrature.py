@@ -13,7 +13,7 @@ from bec1d.numerics import _gauss_kronrod
 def integrate(func, a, b, epsabs=1e-14, epsrel=1e-13):
     """One owner over the panels [a_i, b_i] of an integrand of x alone."""
     a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
-    value, error, neval, _ = _gauss_kronrod(
+    value, error, neval = _gauss_kronrod(
         lambda x, _: func(x), a, b, np.zeros(a.size, dtype=int), 1, epsabs, epsrel
     )
     return float(value[0]), float(error[0]), int(neval[0])
@@ -41,7 +41,7 @@ class TestExactness:
 
     def test_first_pass_pieces_are_no_wider_than_width(self):
         # 50 pieces of width 0.2 over [0, 10], each accepted at once
-        value, _, neval, _ = _gauss_kronrod(
+        value, _, neval = _gauss_kronrod(
             lambda x, _: x * x, [0.0], [10.0], [0], 1, 1e-14, 1e-13, 0.2
         )
         assert neval[0] == 21 * 50
@@ -83,7 +83,7 @@ class TestOwners:
         a = np.array([0.0, 1.0, 0.0, 0.0, 2.0])
         b = np.array([1.0, 3.0, 4.0, 2.0, 5.0])
         owner = np.array([0, 0, 1, 2, 2])
-        value, error, neval, _ = _gauss_kronrod(self.integrand, a, b, owner, 3, 1e-14, 1e-13)
+        value, error, neval = _gauss_kronrod(self.integrand, a, b, owner, 3, 1e-14, 1e-13)
         exact = [1.0 - math.cos(3.0), -math.expm1(-4.0), 125.0 / 3.0]
         for j in range(3):
             mine = owner == j
@@ -96,7 +96,7 @@ class TestOwners:
         assert neval.sum() % 21 == 0 and np.all(neval > 0)
 
     def test_an_owner_without_panels_gets_zero(self):
-        value, error, neval, _ = _gauss_kronrod(
+        value, error, neval = _gauss_kronrod(
             self.integrand, [0.0], [1.0], [2], 4, 1e-14, 1e-13
         )
         assert value[2] == pytest.approx(1.0 / 3.0, rel=1e-14)
@@ -108,47 +108,10 @@ class TestOwners:
         # epsabs per initial panel plus epsrel of the absolute integral: the
         # bound the kernel routes' tolerance is written in
         a, b = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 30.0])
-        value, error, _, _ = _gauss_kronrod(
+        value, error, _ = _gauss_kronrod(
             lambda x, _: 1.0 / (1.0 + x * x), a, b, np.zeros(3, dtype=int), 1, 1e-15, 1e-13
         )
         assert error[0] <= 3 * 1e-15 + 1e-13 * value[0]
-
-
-class TestPanelReuse:
-    """The accepted subpanels of one call, passed back as the panels of another."""
-
-    @staticmethod
-    def peak(x, owner):
-        return np.where(owner == 0, 1.0 / (1e-3 + x * x), np.exp(-x) * np.cos(8.0 * x))
-
-    a, b, owner = np.array([-1.0, 0.0]), np.array([1.0, 3.0]), np.array([0, 1])
-    exact = [2.0 / math.sqrt(1e-3) * math.atan(1.0 / math.sqrt(1e-3)),
-             (1.0 + math.exp(-3.0) * (8.0 * math.sin(24.0) - math.cos(24.0))) / 65.0]
-
-    def test_accepted_subpanels_tile_each_panel(self):
-        *_, (lo, hi, owner) = _gauss_kronrod(
-            self.peak, self.a, self.b, self.owner, 2, 1e-14, 1e-13
-        )
-        for j in range(2):
-            order = np.argsort(lo[owner == j])
-            mine_lo, mine_hi = lo[owner == j][order], hi[owner == j][order]
-            assert mine_lo[0] == self.a[j] and mine_hi[-1] == self.b[j]
-            assert np.array_equal(mine_hi[:-1], mine_lo[1:])
-
-    def test_reused_subpanels_are_accepted_in_one_round(self):
-        value, error, neval, panels = _gauss_kronrod(
-            self.peak, self.a, self.b, self.owner, 2, 1e-14, 1e-13
-        )
-        lo = panels[0]
-        assert neval.sum() > 21 * lo.size  # the first call bisected
-        again, again_error, again_neval, again_panels = _gauss_kronrod(
-            self.peak, *panels, 2, 1e-14, 1e-13
-        )
-        assert again_neval.sum() == 21 * lo.size
-        assert again_panels[0].size == lo.size
-        for j in range(2):
-            assert abs(again[j] - value[j]) <= error[j]
-            assert abs(again[j] - self.exact[j]) <= again_error[j]
 
 
 class TestRoundLimit:

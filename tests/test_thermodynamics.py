@@ -307,7 +307,7 @@ class TestMuSolvers:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_batched_density_and_slope_equal_quad(self, lam, beta):
-        # one closure over the three mu, so the later ones reuse earlier subpanels
+        # one closure over the three mu, as the Newton steps of one solve share it
         params = ModelParams(lam)
         density = _limit_density(lam, beta)
         for beta_mu in (-1.0, -0.1, -1e-4):
@@ -324,7 +324,7 @@ class TestMuSolvers:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("deficit", [1e-4, 1e-7])
     def test_limit_round_trip_near_the_critical_density(self, lam, beta, deficit):
-        # mu -> 0^-, where the reused subpanels come from much larger |mu|
+        # mu -> 0^-, far from the first Newton point mu = -1/beta the panels are cut for
         params = ModelParams(lam)
         rho = (1.0 - deficit) * critical_density(params, beta)
         mu = solve_mu_limit(params, beta, rho)
