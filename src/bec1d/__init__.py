@@ -10,7 +10,6 @@ from .errors import ConvergenceError, DomainError
 from .poisson_geometry import (
     EULER_GAMMA,
     IntervalPartition,
-    OrderStatSample,
     PoissonParams,
     expected_largest,
     expected_second_largest,
@@ -28,7 +27,6 @@ from .spectrum import (
     C_SQUARED,
     LevelTable,
     ModelParams,
-    SpectralLevel,
     build_level_table,
     counting_function,
     dirichlet_eigenfunction,
@@ -39,11 +37,9 @@ from .spectrum import (
     ids_free,
     ids_limit,
     ids_series,
-    levels_below,
 )
 from .thermodynamics import (
     CondensateReport,
-    ThermoPoint,
     condensate_density,
     condensate_finite,
     critical_density,
@@ -58,11 +54,9 @@ from .thermodynamics import (
     solve_mu_limit,
 )
 from .correlations import (
-    KernelQuery,
     decay_rate_fit,
     free_kernel,
     kernel_finite,
-    kernel_finite_bruteforce,
     kernel_limit,
     kernel_with_condensate,
     odlro,

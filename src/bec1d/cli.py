@@ -83,10 +83,6 @@ class ExperimentConfig:
     def validate(self):
         if self.command not in _COMMANDS:
             raise UsageError(f"unknown command {self.command!r}")
-        if self.intensity <= 0:
-            raise UsageError(f"--lambda must be positive, got {self.intensity}")
-        if self.beta <= 0:
-            raise UsageError(f"--beta must be positive, got {self.beta}")
         if self.seeds < 1:
             raise UsageError(f"--seeds must be >= 1, got {self.seeds}")
         if self.format not in ("csv", "json"):
@@ -95,14 +91,17 @@ class ExperimentConfig:
                            ("--l-ladder", self.l_ladder)):
             if grid and any(b <= a for a, b in zip(grid[:-1], grid[1:])):
                 raise UsageError(f"{name} must be strictly increasing, got {grid}")
-        for name, values in (("--box-length", [self.box_length]), ("--e-grid", self.e_grid),
-                             ("--l-ladder", self.l_ladder)):
-            if not all(np.isfinite(v) and v > 0 for v in values):
+        for name, values in (("--lambda", [self.intensity]), ("--beta", [self.beta]),
+                             ("--rho", [self.rho]), ("--box-length", [self.box_length]),
+                             ("--epsilon", [self.epsilon]), ("--delta", [self.delta]),
+                             ("--e-grid", self.e_grid), ("--l-ladder", self.l_ladder)):
+            if not all(v is None or (np.isfinite(v) and v > 0) for v in values):
                 raise UsageError(f"{name} must be positive and finite, got {values}")
+        for name, values in (("--mu", [self.mu]), ("--r-grid", self.r_grid)):
+            if not all(v is None or np.isfinite(v) for v in values):
+                raise UsageError(f"{name} must be finite, got {values}")
         if self.mu is not None and self.rho is not None:
             raise UsageError("set at most one of --mu and --rho")
-        if self.rho is not None and self.rho <= 0:
-            raise UsageError(f"--rho must be positive, got {self.rho}")
         if self.command == "ids" and not self.e_grid:
             raise UsageError("ids needs a non-empty --e-grid")
         if self.command == "correlate":
@@ -119,11 +118,8 @@ class ExperimentConfig:
                 raise UsageError("hierarchy needs a non-empty --l-ladder")
             if self.kind not in ("type1", "type2", "type3"):
                 raise UsageError(f"--kind must be type1|type2|type3, got {self.kind!r}")
-        if self.command == "localize":
-            if self.rho is None:
-                raise UsageError("localize needs --rho")
-            if self.epsilon <= 0:
-                raise UsageError(f"--epsilon must be positive, got {self.epsilon}")
+        if self.command == "localize" and self.rho is None:
+            raise UsageError("localize needs --rho")
         if self.command == "orderstats" and self.k < 2:
             raise UsageError(f"--k must be >= 2, got {self.k}")
 
@@ -143,8 +139,8 @@ def _rel_dev(mc: float, analytic: float | None) -> float | None:
 
 
 def _trial_partition(cfg: ExperimentConfig, box_length: float, trial: int) -> IntervalPartition:
-    lengths = poisson_lengths(cfg.intensity, box_length, trial_rng(cfg.base_seed, trial))
-    return IntervalPartition(lengths, box_length, lengths.size - 1)
+    rng = trial_rng(cfg.base_seed, trial)
+    return IntervalPartition(poisson_lengths(cfg.intensity, box_length, rng), box_length)
 
 
 def _sweep(cfg, grid, per_trial):
@@ -446,8 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def build_config(argv: list[str]) -> ExperimentConfig:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     settings: dict = {}
     if args.config:
         try:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -65,28 +64,6 @@ _EPSABS, _EPSREL = 1e-16, 5e-13
 #: and of at most _SERIES_PIECES first-pass pieces
 _SERIES_CHUNK, _SERIES_CHUNK_CAP = 128, 8192
 _SERIES_PIECES = 1 << 15
-
-
-@dataclass(frozen=True)
-class KernelQuery:
-    """A kernel evaluation point: separation plus one thermodynamic handle."""
-
-    separation: float
-    beta: float
-    mu: float | None = None
-    rho: float | None = None
-
-    def __post_init__(self):
-        if not (np.isfinite(self.separation) and self.separation >= 0):
-            raise ValueError(f"separation must be non-negative, got {self.separation}")
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if (self.mu is None) == (self.rho is None):
-            raise ValueError("exactly one of mu and rho must be set")
-        if self.mu is not None and self.mu > 0:
-            raise ValueError("fixed-mu kernel queries need mu <= 0")
-        if self.rho is not None and self.rho <= 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
 
 
 def kernel_finite(source: IntervalPartition | LevelTable, beta: float, mu: float,
@@ -260,7 +237,7 @@ def odlro(params: ModelParams, beta: float, rho: float) -> float:
 
     Equals the condensate density max(0, rho - rho_c).
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     return max(0.0, rho - critical_density(params, beta))
 
@@ -330,35 +307,3 @@ def decay_rate_fit(
         ratios.append(math.log(k / f))
     slope = float(np.polyfit(rs, np.asarray(ratios), 1)[0])
     return slope
-
-
-def kernel_finite_bruteforce(
-    partition: IntervalPartition, beta: float, mu: float, r: float, modes_per_interval: int = 200
-) -> float:
-    """Direct quadrature of the translation-averaged eigenfunction double sum.
-
-    Slow reference evaluation used to validate kernel_finite on small
-    partitions; no reduction of the shift integral is applied.
-    """
-    r = abs(float(r))
-    lengths = partition.lengths
-    ground = (C / lengths.max()) ** 2
-    _require_below_ground(mu, ground)
-    total = 0.0
-    for length in lengths:
-        if length <= r:
-            continue
-        for s in range(1, modes_per_interval + 1):
-            energy = 0.5 * (math.pi * s / length) ** 2
-            x = beta * (energy - mu)
-            if x > 700.0:
-                break
-            occ = 1.0 / math.expm1(x)
-            k = math.pi * s / length
-
-            def shifted_product(a: float) -> float:
-                return math.sin(k * (a + r)) * math.sin(k * a)
-
-            val, _ = quad(shifted_product, 0.0, length - r, limit=200, epsabs=1e-14)
-            total += occ * (2.0 / length) * val
-    return total / partition.total_length

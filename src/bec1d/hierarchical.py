@@ -170,7 +170,7 @@ def solve_mu_hierarchical(layout: HierarchicalLayout, beta: float, rho: float) -
     Newton in ln(ground - mu), slope beta * sum n(n+1) from the same tower
     occupations n; it stops on a sign-verified bracket of width 1e-14 * max(1, |mu|).
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if beta <= 0:
         raise ValueError("beta must be positive")

@@ -166,7 +166,7 @@ def ground_state_share(
     partition: IntervalPartition, beta: float, rho: float, epsilon: float
 ) -> GroundStateShare:
     """Occupation of the lowest level over the total occupation below epsilon."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     table = level_table(partition, beta, epsilon)
     mu = solve_mu_finite(table, beta, rho)
@@ -190,9 +190,6 @@ def ground_state_occupation_fraction(
     epsilon: float = 0.01,
 ) -> list[GroundStateShare]:
     """Per-seed ground-state shares over Poisson partitions at fixed density."""
-    results = []
-    for seed in seeds:
-        lengths = poisson_lengths(intensity, total_length, trial_rng(seed, 0))
-        partition = IntervalPartition(lengths, total_length, lengths.size - 1)
-        results.append(ground_state_share(partition, beta, rho, epsilon))
-    return results
+    draws = (poisson_lengths(intensity, total_length, trial_rng(seed, 0)) for seed in seeds)
+    return [ground_state_share(IntervalPartition(lengths, total_length), beta, rho, epsilon)
+            for lengths in draws]

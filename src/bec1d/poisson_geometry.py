@@ -47,12 +47,10 @@ class IntervalPartition:
     Attributes:
         lengths: positive interval lengths, left to right.
         total_length: segment length L; lengths sum to it within 1e-12 * L.
-        impurity_count: number of interior impurities, = len(lengths) - 1.
     """
 
     lengths: np.ndarray
     total_length: float
-    impurity_count: int
 
     def __post_init__(self):
         lengths = np.asarray(self.lengths, dtype=float)
@@ -63,16 +61,17 @@ class IntervalPartition:
             raise ValueError("lengths must be a non-empty 1-d array")
         if not np.all(lengths > 0):
             raise ValueError("every interval length must be positive")
-        if self.impurity_count != lengths.size - 1:
-            raise ValueError(
-                f"impurity_count {self.impurity_count} inconsistent with {lengths.size} intervals"
-            )
         if abs(lengths.sum() - self.total_length) > 1e-12 * self.total_length:
             raise ValueError("interval lengths do not tile the segment")
 
     @property
     def n_intervals(self) -> int:
         return self.lengths.size
+
+    @property
+    def impurity_count(self) -> int:
+        """Number of interior impurities, one fewer than the intervals."""
+        return self.lengths.size - 1
 
 
 @dataclass(frozen=True)
@@ -87,26 +86,10 @@ class PoissonParams:
             raise ValueError(f"intensity must be positive, got {self.intensity}")
 
 
-@dataclass(frozen=True)
-class OrderStatSample:
-    """Interval lengths sorted in non-increasing order."""
-
-    sorted_lengths: np.ndarray
-    sample_size: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.sorted_lengths, dtype=float)
-        object.__setattr__(self, "sorted_lengths", arr)
-        if self.sample_size != arr.size:
-            raise ValueError("sample_size inconsistent with sorted_lengths")
-        if np.any(np.diff(arr) > 0):
-            raise ValueError("sorted_lengths must be non-increasing")
-
-
 def _partition_from_unit_points(unit_points: np.ndarray, total_length: float) -> IntervalPartition:
     edges = np.concatenate(([0.0], np.sort(unit_points), [1.0]))
     lengths = total_length * np.diff(edges)
-    return IntervalPartition(lengths, total_length, unit_points.size)
+    return IntervalPartition(lengths, total_length)
 
 
 def sample_uniform_partition(total_length: float, n_intervals: int, seed) -> IntervalPartition:
@@ -147,14 +130,11 @@ def poisson_lengths(intensity: float, total_length: float, rng: np.random.Genera
 
 def sample_poisson_partition(total_length: float, params: PoissonParams) -> IntervalPartition:
     """Poisson(intensity * L) impurities, uniformly placed; zero count gives one interval."""
-    if not (np.isfinite(total_length) and total_length > 0):
-        raise ValueError(f"total_length must be positive and finite, got {total_length}")
-    rng = as_generator(params.seed)
-    lengths = poisson_lengths(params.intensity, total_length, rng)
-    return IntervalPartition(lengths, total_length, lengths.size - 1)
+    lengths = poisson_lengths(params.intensity, total_length, as_generator(params.seed))
+    return IntervalPartition(lengths, total_length)
 
 
-def sample_ordered_lengths(intensity: float, k: int, seed) -> OrderStatSample:
+def sample_ordered_lengths(intensity: float, k: int, seed) -> np.ndarray:
     """k independent Exponential(intensity) lengths, sorted non-increasing.
 
     This is the limiting joint law of any k interval lengths of the Poisson
@@ -164,9 +144,7 @@ def sample_ordered_lengths(intensity: float, k: int, seed) -> OrderStatSample:
         raise ValueError("intensity must be positive")
     if k < 1:
         raise ValueError("k must be >= 1")
-    rng = as_generator(seed)
-    draws = rng.exponential(1.0 / intensity, size=k)
-    return OrderStatSample(np.sort(draws)[::-1], k)
+    return np.sort(as_generator(seed).exponential(1.0 / intensity, size=k))[::-1]
 
 
 def expected_largest(intensity: float, k: int) -> float:

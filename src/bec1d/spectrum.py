@@ -39,25 +39,13 @@ MAX_LEVELS = 2**26
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Impurity intensity together with the fixed spectral constant."""
+    """Impurity intensity; the spectral constant is the module's C."""
 
     intensity: float
-    c: float = C
 
     def __post_init__(self):
         if not (np.isfinite(self.intensity) and self.intensity > 0):
             raise ValueError(f"intensity must be positive, got {self.intensity}")
-        if abs(self.c - C) > 4.0 * np.finfo(float).eps * C:
-            raise ValueError("the spectral constant is fixed at pi/sqrt(2)")
-
-
-@dataclass(frozen=True)
-class SpectralLevel:
-    """One Dirichlet level of one interval of a partition."""
-
-    interval_index: int
-    quantum_number: int
-    energy: float
 
 
 @dataclass(frozen=True)
@@ -148,15 +136,6 @@ def build_level_table(partition: IntervalPartition, energy_cutoff: float) -> Lev
     energies *= C  # (C s / L)^2 in place
     np.square(np.divide(energies, lens, out=energies), out=energies)
     return LevelTable(energies, lens, partition.total_length, energy_cutoff)
-
-
-def levels_below(partition: IntervalPartition, energy_cutoff: float) -> list[SpectralLevel]:
-    """Per-level records below the cutoff, for inspection and small partitions."""
-    counts, modes = _level_modes(partition.lengths, energy_cutoff)
-    owner = np.repeat(np.arange(counts.size), counts)
-    energies = (C * modes / partition.lengths[owner]) ** 2
-    return [SpectralLevel(int(j), int(s), float(e))
-            for j, s, e in zip(owner, modes, energies) if e <= energy_cutoff]
 
 
 def _tail_weight(energy: float) -> float:

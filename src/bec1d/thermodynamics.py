@@ -69,27 +69,7 @@ _MU_TOLERANCE = 1e-12
 _SPLIT_EXPONENT = 4.0
 #: geometric-series terms kept for those levels; the remainder is e^{-40} relative
 _BOSE_TERMS = 10
-
-
-@dataclass(frozen=True)
-class ThermoPoint:
-    """A grand-canonical state, fixed either by mu or by target density."""
-
-    beta: float
-    mu: float | None = None
-    rho: float | None = None
-
-    def __post_init__(self):
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if (self.mu is None) == (self.rho is None):
-            raise ValueError("exactly one of mu and rho must be set")
-        if self.rho is not None and self.rho <= 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-
-    @property
-    def mode(self) -> str:
-        return "fixed-mu" if self.mu is not None else "fixed-rho"
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -134,11 +114,18 @@ def pressure_finite(source: IntervalPartition | LevelTable, beta: float, mu: flo
     """
     table = level_table(source, beta)
     _require_below_ground(mu, table.ground_energy)
-    logs = np.subtract(table.energies, mu)  # x = beta (E - mu), then ln(1 - e^-x) in place
+    logs = np.subtract(table.energies, mu)  # -x = -beta (E - mu), then ln(1 - e^-x) in place
     np.negative(np.multiply(beta, logs, out=logs), out=logs)
-    np.negative(np.expm1(logs, out=logs), out=logs)
+    # ln(-expm1(-x)) up to x = ln 2, log1p(-e^-x) beyond (Maechler 2012): 1 - e^-x
+    # rounds near 1, so ln(-expm1(-x)) alone is off by 1e-3 of its value at x = 30
+    far = logs < -_LN2
+    near = ~far
+    np.exp(logs, out=logs, where=far)
+    np.expm1(logs, out=logs, where=near)
+    np.negative(logs, out=logs)
+    np.log1p(logs, out=logs, where=far)
     with np.errstate(divide="ignore"):
-        np.log(logs, out=logs)
+        np.log(logs, out=logs, where=near)
     return -float(logs.sum()) / (beta * table.total_length)
 
 
@@ -317,7 +304,7 @@ def solve_mu_finite(source: IntervalPartition | LevelTable, beta: float, rho: fl
     moments (module docstring), exact to 4e-18 relative per level (5e-17 for
     the slope); each Newton step sums only the levels below that split.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     table = level_table(source, beta)
     return _log_newton(
@@ -363,7 +350,7 @@ def solve_mu_limit(params: ModelParams, beta: float, rho: float) -> float:
     estimate stays below quad's bound, 1e-12 of the integral plus 1e-13.
     density_limit stays on quad, an independent check.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     rho_c = critical_density(params, beta)
     if rho >= rho_c:
@@ -377,7 +364,7 @@ def condensate_density(params: ModelParams, beta: float, rho: float) -> Condensa
     rho exactly at the critical density counts as condensed with zero
     condensate, so mu_limit is 0 there.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     rho_c = critical_density(params, beta)
     return CondensateReport(
@@ -394,7 +381,7 @@ def condensate_finite(
     first. A window below the partition's ground energy is empty and yields
     exactly zero.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     table = level_table(partition, beta, epsilon)
     mu = solve_mu_finite(table, beta, rho)

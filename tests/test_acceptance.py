@@ -64,13 +64,12 @@ def report(num: str, name: str, ok: bool, detail: str) -> bool:
 
 
 def seeded_partition(tag: int, trial: int, box: float) -> IntervalPartition:
-    lengths = poisson_lengths(1.0, box, np.random.default_rng((tag, trial)))
-    return IntervalPartition(lengths, box, lengths.size - 1)
+    return IntervalPartition(poisson_lengths(1.0, box, np.random.default_rng((tag, trial))), box)
 
 
 def ladder_partition(tag: int, box: float, trial: int) -> IntervalPartition:
-    lengths = poisson_lengths(1.0, box, np.random.default_rng((tag, int(box), trial)))
-    return IntervalPartition(lengths, box, lengths.size - 1)
+    rng = np.random.default_rng((tag, int(box), trial))
+    return IntervalPartition(poisson_lengths(1.0, box, rng), box)
 
 
 class TestCriterion01:

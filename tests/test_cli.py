@@ -114,6 +114,15 @@ class TestValidation:
         ["thermo", "--mu", "-0.5", "--box-length", "inf"],
         ["ids", "--e-grid", "-1 2"],
         ["ids", "--e-grid", "0.5 nan"],
+        ["thermo", "--rho", "nan"],
+        ["thermo", "--mu", "nan"],
+        ["thermo", "--rho", "0.2", "--beta", "nan"],
+        ["thermo", "--rho", "0.2", "--beta", "inf"],
+        ["thermo", "--rho", "0.2", "--lambda", "nan"],
+        ["correlate", "--rho", "0.2", "--r-grid", "0 nan"],
+        ["localize", "--rho", "0.2", "--epsilon", "nan"],
+        ["localize", "--rho", "0.2", "--epsilon", "0"],
+        ["orderstats", "--delta", "nan"],
     ])
     def test_non_positive_or_non_finite_boxes_and_energies(self, tmp_path, monkeypatch, argv):
         # a zero box once made poisson_lengths redraw forever: fail, never loop

@@ -9,8 +9,6 @@ from bec1d import correlations, numerics
 from bec1d import (
     ConvergenceError,
     DomainError,
-    IntervalPartition,
-    KernelQuery,
     ModelParams,
     PoissonParams,
     critical_density,
@@ -19,7 +17,6 @@ from bec1d import (
     density_limit,
     free_kernel,
     kernel_finite,
-    kernel_finite_bruteforce,
     kernel_limit,
     kernel_with_condensate,
     level_table,
@@ -27,14 +24,10 @@ from bec1d import (
     sample_poisson_partition,
     solve_mu_limit,
 )
-from util import kernel_route_bound
+from kernel_reference import kernel_finite_bruteforce
+from util import kernel_route_bound, partition
 
 PARAMS = ModelParams(1.0)
-
-
-def partition(lengths):
-    lengths = np.asarray(lengths, dtype=float)
-    return IntervalPartition(lengths, float(lengths.sum()), lengths.size - 1)
 
 
 def free_kernel_gaussian_sum(beta, mu, r, terms=1200):
@@ -269,17 +262,3 @@ class TestDecayRateFit:
             decay_rate_fit(PARAMS, 1.0, -0.5, (1.0, 15.0))
         with pytest.raises(DomainError):
             decay_rate_fit(PARAMS, 1.0, 0.5, (5.0, 15.0))
-
-
-class TestKernelQuery:
-    def test_validation(self):
-        q = KernelQuery(separation=2.0, beta=1.0, mu=-0.5)
-        assert q.mu == -0.5
-        with pytest.raises(ValueError):
-            KernelQuery(separation=-1.0, beta=1.0, mu=-0.5)
-        with pytest.raises(ValueError):
-            KernelQuery(separation=1.0, beta=1.0)
-        with pytest.raises(ValueError):
-            KernelQuery(separation=1.0, beta=1.0, mu=-0.5, rho=0.3)
-        with pytest.raises(ValueError):
-            KernelQuery(separation=1.0, beta=1.0, mu=0.5)

@@ -18,6 +18,7 @@ from bec1d import (
     density_finite,
     kernel_finite,
     level_table,
+    pressure_finite,
     sample_poisson_partition,
     solve_mu_finite,
 )
@@ -111,6 +112,23 @@ def test_density_finite_is_monotone_in_mu(intensity, beta, seed, fractions):
     ground = level_table(part, beta).ground_energy
     mus = sorted(ground - gap_below_ground(beta, ground, f, 1e-9 * ground) for f in fractions)
     assert density_finite(part, beta, mus[0]) <= density_finite(part, beta, mus[1])
+
+
+@given(intensity=intensities, beta=betas, seed=seeds, fraction=fractions)
+@settings(max_examples=30)
+@at_corners(fraction=1.0)
+def test_density_finite_is_the_mu_derivative_of_pressure_finite(intensity, beta, seed, fraction):
+    # rho = dp/dmu per realization, by central differences on one table. The step is
+    # 1e-4 of the shorter scale, ground - mu or 1/beta, so truncation costs ~3e-9 of
+    # rho; the denominator is the float step actually taken. Tolerance as TestCriterion04.
+    table = level_table(box(intensity, beta, seed), beta)
+    ground = table.ground_energy
+    gap = gap_below_ground(beta, ground, fraction, 1e-9 * ground)
+    mu = ground - gap
+    h = 1e-4 * min(gap, 1.0 / beta)
+    lo, hi = mu - h, mu + h
+    slope = (pressure_finite(table, beta, hi) - pressure_finite(table, beta, lo)) / (hi - lo)
+    assert slope == pytest.approx(density_finite(table, beta, mu), rel=1e-6, abs=0.0)
 
 
 @given(

@@ -10,7 +10,6 @@ from bec1d import (
     C_SQUARED,
     CondensateType,
     DomainError,
-    IntervalPartition,
     LayoutKind,
     build_layout,
     classify_condensate,
@@ -21,6 +20,7 @@ from bec1d import (
     solve_mu_hierarchical,
     solve_type2_coefficient,
 )
+from util import partition
 
 LAM = BETA = 1.0
 RHO_C = hierarchical_critical_density(LAM, BETA)
@@ -74,7 +74,7 @@ class TestDensity:
             (np.full(layout.large_count, layout.large_length),
              np.full(layout.small_count, layout.small_length))
         )
-        part = IntervalPartition(lengths, float(lengths.sum()), lengths.size - 1)
+        part = partition(lengths)
         for mu in (-0.5, 0.01):
             assert hierarchical_density(layout, BETA, mu) == pytest.approx(
                 density_finite(part, BETA, mu), rel=1e-12

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from bec1d import (
-    IntervalPartition,
     SpacingQuery,
+    condensate_finite,
     critical_density,
     ground_state_occupation_fraction,
     ground_state_share,
@@ -17,7 +17,7 @@ from bec1d import (
     spacing_probability_mc,
     trial_rng,
 )
-from util import ks_distance
+from util import ks_distance, partition
 
 RHO_C = critical_density(ModelParams(1.0), 1.0)
 
@@ -110,23 +110,19 @@ class TestGroundStateShare:
         # one 30-length interval among 3e5 unit intervals holds nearly the
         # whole condensate in its ground state
         lengths = np.concatenate(([30.0], np.ones(300_000)))
-        part = IntervalPartition(lengths, float(lengths.sum()), lengths.size - 1)
-        share = ground_state_share(part, 1.0, 2.0 * RHO_C, epsilon=0.01)
+        share = ground_state_share(partition(lengths), 1.0, 2.0 * RHO_C, epsilon=0.01)
         assert share.window_levels >= 1
         assert not share.tie
         assert share.fraction > 0.99
 
     def test_degenerate_pair_is_flagged_and_splits(self):
         lengths = np.concatenate(([30.0, 30.0], np.ones(300_000)))
-        part = IntervalPartition(lengths, float(lengths.sum()), lengths.size - 1)
-        share = ground_state_share(part, 1.0, 2.0 * RHO_C, epsilon=0.01)
+        share = ground_state_share(partition(lengths), 1.0, 2.0 * RHO_C, epsilon=0.01)
         assert share.tie
         assert share.fraction == pytest.approx(0.5, abs=0.02)
 
     def test_empty_window_reports_nan(self):
-        lengths = np.ones(50)
-        part = IntervalPartition(lengths, 50.0, 49)
-        share = ground_state_share(part, 1.0, 2.0 * RHO_C, epsilon=0.01)
+        share = ground_state_share(partition(np.ones(50)), 1.0, 2.0 * RHO_C, epsilon=0.01)
         assert share.window_levels == 0
         assert math.isnan(share.fraction)
 
@@ -139,10 +135,11 @@ class TestGroundStateShare:
             assert 0.0 <= s.fraction <= 1.0
 
     def test_epsilon_validation(self):
-        lengths = np.ones(5)
-        part = IntervalPartition(lengths, 5.0, 4)
-        with pytest.raises(ValueError):
-            ground_state_share(part, 1.0, 0.1, epsilon=0.0)
+        # NaN fails every comparison: an `epsilon <= 0` guard reads it as an empty window
+        for epsilon in (0.0, math.nan):
+            for window in (ground_state_share, condensate_finite):
+                with pytest.raises(ValueError, match="epsilon"):
+                    window(partition(np.ones(5)), 1.0, 0.1, epsilon=epsilon)
 
 
 class TestOrderedGapLaw:

@@ -2,14 +2,12 @@
 
 import math
 
-import numpy as np
 import pytest
 
 import bisection_reference as ref
 from bec1d import (
     C,
     ConvergenceError,
-    IntervalPartition,
     ModelParams,
     PoissonParams,
     build_layout,
@@ -25,6 +23,7 @@ from bec1d import (
     solve_type2_coefficient,
 )
 from bec1d import thermodynamics
+from util import partition
 
 PARAMS = ModelParams(1.0)
 #: table passes allowed per finite solve; the bisection took 42-52
@@ -67,14 +66,14 @@ class TestFiniteSolver:
     def test_single_level_closed_form(self):
         # one interval of length pi at beta -> infinity holds all particles in
         # its ground level: rho * pi = 1 / expm1(beta (E_1 - mu))
-        part = IntervalPartition(np.array([math.pi]), math.pi, 0)
+        part = partition([math.pi])
         beta, rho = 50.0, 2.0
         mu = solve_mu_finite(part, beta, rho)
         expected = 0.5 - math.log1p(1.0 / (rho * math.pi)) / beta
         assert mu == pytest.approx(expected, abs=1e-12)
 
     def test_root_closer_to_ground_than_representable_raises(self):
-        part = IntervalPartition(np.array([1.0]), 1.0, 0)
+        part = partition([1.0])
         ground = C * C
         with pytest.raises(ConvergenceError) as info:
             solve_mu_finite(part, 1.0, 1e16)

@@ -15,7 +15,6 @@ from bec1d import (
     C,
     C_SQUARED,
     DomainError,
-    IntervalPartition,
     LevelTable,
     ModelParams,
     PoissonParams,
@@ -29,14 +28,9 @@ from bec1d import (
     ids_free,
     ids_limit,
     ids_series,
-    levels_below,
     sample_poisson_partition,
 )
-
-
-def partition(lengths):
-    lengths = np.asarray(lengths, dtype=float)
-    return IntervalPartition(lengths, float(lengths.sum()), lengths.size - 1)
+from util import partition
 
 
 class TestLevels:
@@ -71,26 +65,27 @@ class TestLevels:
             "energies", "lengths", "total_length", "energy_cutoff"
         ]
         assert table.ground_energy == pytest.approx((C / 3.0) ** 2, rel=1e-15)
-        # the records below the cutoff are exactly the table's levels there, in order
+        # the levels (C s / L)^2 <= 30 of each interval, in order, are exactly the table's there
+        levels = [(length, s) for length in (2.0, 3.0)
+                  for s in range(1, 30) if (C * s / length) ** 2 <= 30.0]
         held = table.energies <= 30.0
-        recs = levels_below(part, 30.0)
-        assert [r.energy for r in recs] == table.energies[held].tolist()
-        assert [part.lengths[r.interval_index] for r in recs] == table.lengths[held].tolist()
-        wave_numbers = [math.pi * r.quantum_number / part.lengths[r.interval_index] for r in recs]
+        assert table.energies[held].tolist() == [(C * s / length) ** 2 for length, s in levels]
+        assert table.lengths[held].tolist() == [length for length, _ in levels]
+        wave_numbers = [math.pi * s / length for length, s in levels]
         np.testing.assert_allclose(np.sqrt(2.0 * table.energies[held]), wave_numbers, rtol=1e-15)
         assert all(
-            r.energy == pytest.approx(dirichlet_eigenvalue(part.lengths[r.interval_index], r.quantum_number), rel=1e-14)
-            for r in recs
+            (C * s / length) ** 2 == pytest.approx(dirichlet_eigenvalue(length, s), rel=1e-14)
+            for length, s in levels
         )
-        assert [r for r in recs if r.energy <= 10.0] == levels_below(part, 10.0)
+        low = build_level_table(part, 10.0)
+        assert low.energies[low.energies <= 10.0].tolist() == \
+            table.energies[table.energies <= 10.0].tolist()
 
     def test_table_size_guard_raises_before_allocating(self, monkeypatch):
         # L sqrt(E) / C ~ 4.5e9 levels: 72 GB of energies and lengths
         huge = partition([1e6])
         with pytest.raises(DomainError, match="levels"):
             build_level_table(huge, 1e8)
-        with pytest.raises(DomainError, match="levels"):
-            levels_below(huge, 1e8)
         # a count past the int64 range (beta = 1e-300) must not wrap around the guard
         with pytest.raises(DomainError, match="levels"):
             build_level_table(partition([2.0]), 6e301)
@@ -248,10 +243,7 @@ class TestFiniteAmplitudeBound:
 
 
 class TestModelParams:
-    def test_spectral_constant_pinned(self):
-        params = ModelParams(2.0)
-        assert params.c == C
+    @pytest.mark.parametrize("intensity", [0.0, -1.0, math.nan, math.inf])
+    def test_intensity_must_be_positive_and_finite(self, intensity):
         with pytest.raises(ValueError):
-            ModelParams(2.0, c=1.5)
-        with pytest.raises(ValueError):
-            ModelParams(-1.0)
+            ModelParams(intensity)

@@ -10,10 +10,8 @@ from bec1d import (
     C,
     CondensateReport,
     DomainError,
-    IntervalPartition,
     ModelParams,
     PoissonParams,
-    ThermoPoint,
     condensate_density,
     condensate_finite,
     critical_density,
@@ -39,14 +37,9 @@ from bec1d.thermodynamics import (
     _limit_integral,
     _q_max,
 )
-from util import quad_bound
+from util import partition, quad_bound
 
 PARAMS = ModelParams(1.0)
-
-
-def partition(lengths):
-    lengths = np.asarray(lengths, dtype=float)
-    return IntervalPartition(lengths, float(lengths.sum()), lengths.size - 1)
 
 
 class TestFiniteVolume:
@@ -355,6 +348,14 @@ class TestMuSolvers:
         with pytest.raises(ValueError):
             solve_mu_finite(partition([1.0]), 1.0, 0.0)
 
+    def test_nan_density_is_rejected(self):
+        # NaN fails every comparison: a `rho <= 0` guard passes it on to the solver
+        for solve in (solve_mu_limit, condensate_density):
+            with pytest.raises(ValueError, match="rho"):
+                solve(PARAMS, 1.0, math.nan)
+        with pytest.raises(ValueError, match="rho"):
+            solve_mu_finite(partition([1.0]), 1.0, math.nan)
+
 
 class TestCondensate:
     def test_report_below_and_above(self):
@@ -383,7 +384,7 @@ class TestCondensate:
         # 0.01 holds exactly the wide interval's ground level, which carries
         # nearly all of rho - (small-tower thermal mass)
         lengths = np.concatenate(([30.0], np.ones(20_000)))
-        part = IntervalPartition(lengths, float(lengths.sum()), lengths.size - 1)
+        part = partition(lengths)
         rho = 0.5
         small_tower = math.fsum(
             1.0 / math.expm1((C * s) ** 2) for s in range(1, 12)
@@ -403,15 +404,3 @@ class TestCriticalDensityBound:
         mid = critical_density_bound(PARAMS, 1.0, 0.1)
         assert small > mid
         assert small > 100.0
-
-
-class TestThermoPoint:
-    def test_modes(self):
-        assert ThermoPoint(1.0, mu=-0.5).mode == "fixed-mu"
-        assert ThermoPoint(1.0, rho=0.3).mode == "fixed-rho"
-        with pytest.raises(ValueError):
-            ThermoPoint(1.0)
-        with pytest.raises(ValueError):
-            ThermoPoint(1.0, mu=-0.5, rho=0.3)
-        with pytest.raises(ValueError):
-            ThermoPoint(-1.0, mu=-0.5)

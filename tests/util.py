@@ -6,8 +6,14 @@ import math
 
 import numpy as np
 
-from bec1d import C, ModelParams, density_limit
+from bec1d import C, IntervalPartition, ModelParams, density_limit
 from bec1d.numerics import EXP_CUTOFF
+
+
+def partition(lengths) -> IntervalPartition:
+    """The partition of a segment into the given lengths, left to right."""
+    lengths = np.asarray(lengths, dtype=float)
+    return IntervalPartition(lengths, float(lengths.sum()))
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:
