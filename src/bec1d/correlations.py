@@ -42,7 +42,7 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _require_positive
 from .numerics import EXP_CUTOFF, _bose_factor, _bose_occupations, _gauss_kronrod
 from .poisson_geometry import IntervalPartition
 from .spectrum import C, LevelTable, ModelParams
@@ -102,14 +102,12 @@ def _limit_integrand(q, intensity: float, beta: float, mu: float, r: float):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         f = _bose_occupations(beta * (q * q - mu))
         m = C * intensity / q
+        n = _bose_occupations(m)  # w / (1 - w), so 1 / (1 - w) = n + 1, w / (1 - w)^2 = n (n + 1)
         y = q * r / C
         u = y - np.floor(y)
         t = m * (1.0 - u)
-        one_minus_w = -np.expm1(-m)
         phase = np.pi * y
-        bracket = np.cos(phase) * (np.exp(-m) / (one_minus_w * one_minus_w)
-                                   + (1.0 - u) / one_minus_w)
-        bracket += np.sin(phase) / (np.pi * one_minus_w)
+        bracket = (n + 1.0) * (np.cos(phase) * (n + 1.0 - u) + np.sin(phase) / np.pi)
         value = np.exp(-t) * bracket / (q * q) * f
     return np.where((q > 0.0) & (f > 0.0) & (t <= EXP_CUTOFF), value, 0.0)
 
@@ -209,8 +207,7 @@ def kernel_limit(
     windowed mode integrals. The two routes are independent and must agree;
     the panel route is the default.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _require_positive("beta", beta)
     if not np.isfinite(mu) or mu >= 0:
         raise DomainError(f"the limit kernel needs mu < 0, got {mu}")
     return _kernel_integral(params.intensity, beta, mu, abs(float(r)), method)
@@ -248,8 +245,7 @@ def free_kernel(beta: float, mu: float, r: float) -> float:
     (1/pi) * integral dk cos(k r) / (e^{beta(k^2/2 - mu)} - 1), evaluated with
     cosine-weighted adaptive quadrature.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _require_positive("beta", beta)
     if not np.isfinite(mu) or mu >= 0:
         raise DomainError(f"the free kernel needs mu < 0, got {mu}")
     r = abs(float(r))

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument guard that raises them."""
 
 
 class DomainError(ValueError):
@@ -15,3 +15,9 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, bracket: tuple[float, float] | None = None):
         super().__init__(message)
         self.bracket = bracket
+
+
+def _require_positive(name: str, value: float):
+    """Raise ValueError unless value > 0; NaN fails the comparison."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")

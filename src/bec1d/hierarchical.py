@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_positive
 from .numerics import _bose_occupations, _log_newton
 from .spectrum import C, C_SQUARED, TAIL_EXPONENT
 
@@ -140,8 +140,7 @@ def _layout_density(layout: HierarchicalLayout, beta: float, mu: float) -> tuple
 
 def hierarchical_density(layout: HierarchicalLayout, beta: float, mu: float) -> float:
     """Particle density of the layout: large-interval towers plus the small bulk."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _require_positive("beta", beta)
     ground = layout.ground_energy
     if not np.isfinite(mu) or mu >= ground:
         raise DomainError(f"mu must lie below the ground energy {ground:g}, got {mu}")
@@ -154,10 +153,8 @@ def hierarchical_critical_density(intensity: float, beta: float) -> float:
     intensity * sum_s 1 / (exp(beta (C s / intensity)^2) - 1) with certified
     geometric truncation.
     """
-    if intensity <= 0:
-        raise ValueError("intensity must be positive")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _require_positive("intensity", intensity)
+    _require_positive("beta", beta)
     scale = beta * (C / intensity) ** 2
     s_max = max(4, int(math.sqrt(TAIL_EXPONENT / scale)) + 2)
     s = np.arange(1, s_max + 1, dtype=float)
@@ -172,8 +169,7 @@ def solve_mu_hierarchical(layout: HierarchicalLayout, beta: float, rho: float) -
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _require_positive("beta", beta)
     return _log_newton(lambda mu: _layout_density(layout, beta, mu), rho, 1.0 / beta,
                        _MU_TOLERANCE, anchor=layout.ground_energy)
 
@@ -188,7 +184,7 @@ def solve_type2_coefficient(intensity: float, beta: float, rho: float) -> float:
     """
     rho_c = hierarchical_critical_density(intensity, beta)
     target = rho - rho_c
-    if target <= 0:
+    if not target > 0:
         raise DomainError(f"rho must exceed the critical density {rho_c:g}, got {rho}")
     b = beta * intensity * C_SQUARED
     s = np.arange(1.0, 100001.0)

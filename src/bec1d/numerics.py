@@ -1,9 +1,15 @@
-"""Numerical kernels shared by the physics modules: the stable Bose factor
-1/(e^x - 1), in scalar and array form, the root finder behind every
-chemical-potential solve, and the batched Gauss-Kronrod quadrature behind the
-limit kernel and the limit chemical-potential solve. Leading underscores keep
-the functions out of perfbench's per-layer trace, so their time counts toward
-the calling layer.
+"""Numerical kernels shared by the physics modules: the stable Bose forms,
+the root finder behind every chemical-potential solve, and the batched
+Gauss-Kronrod quadrature behind the limit kernel and the limit
+chemical-potential solve. Leading underscores keep the functions out of
+perfbench's per-layer trace, so their time counts toward the calling layer.
+
+The Bose forms are the only place in the package that calls expm1 or log1p:
+the occupation n = 1/(e^x - 1) (_bose_factor, _bose_occupations), its slope
+n (n + 1) = e^-x / (1 - e^-x)^2 = -dn/dx (_bose_slope, _bose_slopes) and the
+pressure weight ln(1 - e^-x) (_log1mexp, _log1mexps), each for x > 0. The
+integrated density of states of the model is itself a Bose function,
+N(E) = lam n(C lam / sqrt(E)), so its density of states is a slope.
 
 Per-step array kernels write into work arrays allocated once per call (the
 `out=` of numpy ufuncs and of _bose_occupations): a fresh temporary of 50k
@@ -18,6 +24,7 @@ from .errors import ConvergenceError
 
 #: exponent beyond which e^-x underflows; Bose factors there are exactly 0
 EXP_CUTOFF = 745.0
+_LN2 = math.log(2.0)
 _MAX_STEPS = 100
 _MAX_JUMP = 30.0  # largest Newton step in t = ln g, a factor e^30 ~ 1e13 in g
 
@@ -71,6 +78,47 @@ def _bose_occupations(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     with np.errstate(over="ignore"):
         np.divide(1.0, np.expm1(out, out=out), out=out)
     np.copyto(out, 0.0, where=beyond)
+    return out
+
+
+def _bose_slope(x: float) -> float:
+    """n (n + 1) = e^-x / (1 - e^-x)^2 for x > 0, flushed to 0 beyond EXP_CUTOFF."""
+    if x > EXP_CUTOFF:
+        return 0.0
+    d = -math.expm1(-x)
+    return math.exp(-x) / d / d  # d * d would underflow to 0 below x ~ 1e-162
+
+
+def _bose_slopes(x: np.ndarray) -> np.ndarray:
+    """Elementwise n (n + 1) for x > 0, with n = _bose_occupations(x)."""
+    n = _bose_occupations(x)
+    with np.errstate(over="ignore"):  # inf below x ~ 1e-154, as the scalar form
+        return np.multiply(n, n + 1.0, out=n)
+
+
+def _log1mexp(x: float) -> float:
+    """ln(1 - e^-x) for x > 0: ln(-expm1(-x)) up to x = ln 2, log1p(-e^-x) beyond.
+
+    The switch is Maechler's (2012): 1 - e^-x rounds near 1 for large x, so
+    ln(-expm1(-x)) alone is off by 1e-3 of its value at x = 30, while
+    log1p(-e^-x) loses the small-x digits that expm1 keeps.
+    """
+    if x > _LN2:
+        return math.log1p(-math.exp(-x))
+    return math.log(-math.expm1(-x))
+
+
+def _log1mexps(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise _log1mexp for x > 0; out may be x."""
+    far = x > _LN2
+    near = ~far
+    out = np.negative(x, out=np.empty(np.shape(x)) if out is None else out)
+    np.exp(out, out=out, where=far)
+    np.expm1(out, out=out, where=near)
+    np.negative(out, out=out)
+    np.log1p(out, out=out, where=far)
+    with np.errstate(divide="ignore"):
+        np.log(out, out=out, where=near)
     return out
 
 

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .numerics import _bose_occupations
+from .errors import _require_positive
+from .numerics import _log1mexp
 from .poisson_geometry import IntervalPartition, poisson_lengths
 from .rng import trial_rng
 from .spectrum import C, C_SQUARED
-from .thermodynamics import level_table, solve_mu_finite
+from .thermodynamics import _window_occupations
 
 
 @dataclass(frozen=True)
@@ -37,12 +38,10 @@ class SpacingQuery:
     def __post_init__(self):
         if self.sample_size < 2:
             raise ValueError(f"sample_size must be >= 2, got {self.sample_size}")
-        if self.amplitude <= 0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
+        _require_positive("amplitude", self.amplitude)
         if not (0.0 < self.exponent < 1.0):
             raise ValueError(f"exponent must lie in (0, 1), got {self.exponent}")
-        if self.intensity <= 0:
-            raise ValueError(f"intensity must be positive, got {self.intensity}")
+        _require_positive("intensity", self.intensity)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 
@@ -105,8 +104,8 @@ def spacing_probability_exact(
     """
     if sample_size < 2:
         raise ValueError("sample_size must be >= 2")
-    if amplitude <= 0 or intensity <= 0:
-        raise ValueError("amplitude and intensity must be positive")
+    _require_positive("amplitude", amplitude)
+    _require_positive("intensity", intensity)
     if not (0.0 < exponent <= 1.0):
         raise ValueError(f"exponent must lie in (0, 1], got {exponent}")
     k = sample_size
@@ -122,7 +121,7 @@ def spacing_probability_exact(
         if root <= 0.0:
             return 0.0
         x_star = y / math.sqrt(root)
-        log_term = (k - 2) * math.log1p(-math.exp(-lam * y)) if lam * y < 700 else 0.0
+        log_term = (k - 2) * _log1mexp(lam * y)
         return math.exp(log_prefactor - lam * y + log_term - lam * x_star)
 
     # the density concentrates near ln(k)/lam; pass it as a split point
@@ -166,18 +165,13 @@ def ground_state_share(
     partition: IntervalPartition, beta: float, rho: float, epsilon: float
 ) -> GroundStateShare:
     """Occupation of the lowest level over the total occupation below epsilon."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    table = level_table(partition, beta, epsilon)
-    mu = solve_mu_finite(table, beta, rho)
-    window = table.energies[table.energies < epsilon]
+    window, occ = _window_occupations(partition, beta, rho, epsilon)
     top_two = np.partition(partition.lengths, partition.lengths.size - 2)[-2:] \
         if partition.lengths.size >= 2 else partition.lengths
     tie = top_two.size == 2 and abs(top_two[1] - top_two[0]) < 1e-12 * top_two[1]
     if window.size == 0:
         return GroundStateShare(math.nan, tie, 0)
     # a non-empty window holds the lowest level, first among equals as in the table
-    occ = _bose_occupations(beta * (window - mu))
     return GroundStateShare(float(occ[np.argmin(window)] / occ.sum()), tie, window.size)
 
 

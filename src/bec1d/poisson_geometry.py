@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_positive
 from .rng import as_generator
 
 # Euler-Mascheroni constant, stored as a literal to keep the module free of
@@ -86,10 +86,17 @@ class PoissonParams:
             raise ValueError(f"intensity must be positive, got {self.intensity}")
 
 
-def _partition_from_unit_points(unit_points: np.ndarray, total_length: float) -> IntervalPartition:
-    edges = np.concatenate(([0.0], np.sort(unit_points), [1.0]))
-    lengths = total_length * np.diff(edges)
-    return IntervalPartition(lengths, total_length)
+def _uniform_gaps(count: int, total_length: float, rng: np.random.Generator) -> np.ndarray:
+    """total_length times the count + 1 gaps of count uniform points on the unit interval.
+
+    A coincident pair (probability ~ count^2 * 2^-53) would make a zero-length
+    interval; the points are then redrawn from the same stream.
+    """
+    while True:
+        edges = np.concatenate(([0.0], np.sort(rng.random(count)), [1.0]))
+        lengths = total_length * np.diff(edges)
+        if np.all(lengths > 0):
+            return lengths
 
 
 def sample_uniform_partition(total_length: float, n_intervals: int, seed) -> IntervalPartition:
@@ -103,13 +110,8 @@ def sample_uniform_partition(total_length: float, n_intervals: int, seed) -> Int
         raise ValueError(f"total_length must be positive and finite, got {total_length}")
     if n_intervals < 1:
         raise ValueError(f"n_intervals must be >= 1, got {n_intervals}")
-    rng = as_generator(seed)
-    while True:
-        pts = rng.random(n_intervals - 1)
-        if pts.size == 0 or np.all(np.diff(np.sort(np.concatenate(([0.0], pts, [1.0])))) > 0):
-            return _partition_from_unit_points(pts, total_length)
-        # a coincident pair (probability ~ n^2 * 2^-53) would create a
-        # zero-length interval; redraw from the same stream
+    lengths = _uniform_gaps(n_intervals - 1, total_length, as_generator(seed))
+    return IntervalPartition(lengths, total_length)
 
 
 def poisson_lengths(intensity: float, total_length: float, rng: np.random.Generator) -> np.ndarray:
@@ -119,13 +121,7 @@ def poisson_lengths(intensity: float, total_length: float, rng: np.random.Genera
     mean_count = intensity * total_length
     if mean_count > 2.0**62:
         raise DomainError(f"expected impurity count {mean_count:g} exceeds integer range")
-    count = int(rng.poisson(mean_count))
-    while True:
-        pts = rng.random(count)
-        edges = np.concatenate(([0.0], np.sort(pts), [1.0]))
-        lengths = total_length * np.diff(edges)
-        if np.all(lengths > 0):
-            return lengths
+    return _uniform_gaps(int(rng.poisson(mean_count)), total_length, rng)
 
 
 def sample_poisson_partition(total_length: float, params: PoissonParams) -> IntervalPartition:
@@ -140,8 +136,7 @@ def sample_ordered_lengths(intensity: float, k: int, seed) -> np.ndarray:
     This is the limiting joint law of any k interval lengths of the Poisson
     ensemble, which is what the closed-form order statistics below refer to.
     """
-    if intensity <= 0:
-        raise ValueError("intensity must be positive")
+    _require_positive("intensity", intensity)
     if k < 1:
         raise ValueError("k must be >= 1")
     return np.sort(as_generator(seed).exponential(1.0 / intensity, size=k))[::-1]
@@ -149,8 +144,7 @@ def sample_ordered_lengths(intensity: float, k: int, seed) -> np.ndarray:
 
 def expected_largest(intensity: float, k: int) -> float:
     """Mean of the largest of k exponential interval lengths: H_k / intensity."""
-    if intensity <= 0:
-        raise ValueError("intensity must be positive")
+    _require_positive("intensity", intensity)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return math.fsum(1.0 / s for s in range(1, k + 1)) / intensity
@@ -161,8 +155,7 @@ def expected_second_largest(intensity: float, k: int) -> float:
 
     The mean gap to the largest is 1/intensity for every k >= 2.
     """
-    if intensity <= 0:
-        raise ValueError("intensity must be positive")
+    _require_positive("intensity", intensity)
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     return math.fsum(1.0 / s for s in range(2, k + 1)) / intensity
@@ -175,8 +168,7 @@ def largest_asymptotic(intensity: float, k: int, which: str = "first") -> float:
     and Euler constant - 1 for the second largest; the neglected remainder is
     O(1/k).
     """
-    if intensity <= 0:
-        raise ValueError("intensity must be positive")
+    _require_positive("intensity", intensity)
     if k < 3:
         raise ValueError(f"asymptotic form needs k >= 3, got {k}")
     if which == "first":
@@ -190,17 +182,15 @@ def largest_asymptotic(intensity: float, k: int, which: str = "first") -> float:
 
 def gap_exceedance_probability(intensity: float, delta: float) -> float:
     """P{largest - second largest > delta} = exp(-intensity * delta), any sample size."""
-    if intensity <= 0:
-        raise ValueError("intensity must be positive")
-    if delta < 0:
+    _require_positive("intensity", intensity)
+    if not delta >= 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
     return math.exp(-intensity * delta)
 
 
 def gap_variance(intensity: float) -> float:
     """Variance of (largest - second largest): 1 / intensity^2, any sample size."""
-    if intensity <= 0:
-        raise ValueError("intensity must be positive")
+    _require_positive("intensity", intensity)
     return 1.0 / (intensity * intensity)
 
 

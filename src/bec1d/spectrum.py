@@ -9,6 +9,10 @@ count of a finite partition self-averages, and its closed-form limit
 
 has a stretched-exponential (Lifshitz) tail at the spectral bottom and
 approaches the free-line law sqrt(2 E) / pi as the intensity vanishes.
+It is a Bose function, N(E) = intensity * n(C * intensity / sqrt(E)) with
+n(x) = 1 / (e^x - 1), and its density of states carries the slope n (n + 1);
+both come from the stable forms in bec1d.numerics. The series oracle
+ids_series sums the geometric series on a plain exp instead.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .numerics import EXP_CUTOFF
+from .errors import DomainError, _require_positive
+from .numerics import _bose_factor, _bose_slope
 from .poisson_geometry import IntervalPartition
 
 #: Spectral constant: E_s(L) = (C s / L)^2.
@@ -116,8 +120,7 @@ def counting_function(partition: IntervalPartition, energy: float) -> float:
 
 def _level_modes(lengths: np.ndarray, energy_cutoff: float) -> tuple[np.ndarray, np.ndarray]:
     """Level count per interval and the mode s of every level <= cutoff, grouped by interval."""
-    if energy_cutoff <= 0:
-        raise ValueError("energy_cutoff must be positive")
+    _require_positive("energy_cutoff", energy_cutoff)
     # one extra mode keeps the cutoff inclusive; a float count cannot wrap at huge cutoffs
     counts = np.maximum(_modes_below(lengths, energy_cutoff), 1.0) + 1.0
     if counts.sum() > MAX_LEVELS:
@@ -138,37 +141,29 @@ def build_level_table(partition: IntervalPartition, energy_cutoff: float) -> Lev
     return LevelTable(energies, lens, partition.total_length, energy_cutoff)
 
 
-def _tail_weight(energy: float) -> float:
-    """exp(-energy), flushed to zero below the representable range."""
-    return math.exp(-energy) if energy < EXP_CUTOFF else 0.0
-
-
 def ids_limit(params: ModelParams, energy: float) -> float:
     """Self-averaged integrated density of states, intensity * w / (1 - w).
 
-    Evaluated through w = exp(-C * intensity / sqrt(E)) so the Lifshitz-tail
-    regime E -> 0 underflows gracefully instead of overflowing.
+    With w = exp(-C * intensity / sqrt(E)) this is intensity times the Bose
+    factor at C * intensity / sqrt(E), so the Lifshitz-tail regime E -> 0
+    underflows gracefully instead of overflowing.
     """
     if not (np.isfinite(energy) and energy > 0):
         raise DomainError(f"energy must be positive, got {energy}")
-    y = C * params.intensity / math.sqrt(energy)
-    w = _tail_weight(y)
-    return params.intensity * w / (-math.expm1(-y))
+    return params.intensity * _bose_factor(C * params.intensity / math.sqrt(energy))
 
 
 def ids_series(params: ModelParams, energy: float, tolerance: float = 1e-12) -> float:
     """Same quantity as a truncated geometric series, intensity * sum_s w^s.
 
-    Serves as an independent oracle for ids_limit; truncation stops once the
-    certified geometric tail bound drops below `tolerance` relative to the
-    accumulated sum.
+    Serves as an independent oracle for ids_limit, so it shares none of its
+    Bose forms; truncation stops once the certified geometric tail bound drops
+    below `tolerance` relative to the accumulated sum.
     """
     if not (np.isfinite(energy) and energy > 0):
         raise DomainError(f"energy must be positive, got {energy}")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    y = C * params.intensity / math.sqrt(energy)
-    w = _tail_weight(y)
+    _require_positive("tolerance", tolerance)
+    w = math.exp(-C * params.intensity / math.sqrt(energy))
     if w == 0.0:
         return 0.0
     total = 0.0
@@ -189,20 +184,19 @@ def ids_free(energy: float) -> float:
 
 
 def dos_limit(params: ModelParams, energy: float) -> float:
-    """Density of states dN/dE: (intensity^2 C / 2) w / (E^(3/2) (1 - w)^2)."""
+    """Density of states dN/dE: (intensity^2 C / 2) w / (E^(3/2) (1 - w)^2).
+
+    w / (1 - w)^2 is the Bose slope n (n + 1) at C * intensity / sqrt(E).
+    """
     if not (np.isfinite(energy) and energy > 0):
         raise DomainError(f"energy must be positive, got {energy}")
     lam = params.intensity
-    y = C * lam / math.sqrt(energy)
-    w = _tail_weight(y)
-    denom = -math.expm1(-y)
-    return 0.5 * lam * lam * C * w / (energy**1.5 * denom * denom)
+    return 0.5 * lam * lam * C / energy**1.5 * _bose_slope(C * lam / math.sqrt(energy))
 
 
 def finite_amplitude_threshold(amplitude: float) -> float:
     """Upper edge pi^2 a^2 / 32 of the validity window of the finite-amplitude bound."""
-    if amplitude <= 0:
-        raise ValueError("amplitude must be positive")
+    _require_positive("amplitude", amplitude)
     return (math.pi * amplitude) ** 2 / 32.0
 
 
@@ -219,5 +213,4 @@ def ids_finite_amplitude_bound(params: ModelParams, amplitude: float, energy: fl
             f"energy must lie in (0, pi^2 a^2/32) = (0, {limit:g}), got {energy}"
         )
     exponent = params.intensity * (C / math.sqrt(energy) - 4.0 / amplitude)
-    z = _tail_weight(exponent)
-    return params.intensity * z / (-math.expm1(-exponent))
+    return params.intensity * _bose_factor(exponent)

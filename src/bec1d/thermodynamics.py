@@ -8,7 +8,10 @@ bottom and the excess density condenses.
 
 All improper integrals are evaluated after the substitution E = q^2, which
 removes the E^(-3/2) steepness of the density of states; the integrands then
-vanish with all derivatives at q = 0.
+vanish with all derivatives at q = 0. The integrated density of states is a
+Bose function, N(q^2) = lam n(C lam / q), so its measure over q is
+lam^2 C n (n + 1) / q^2. Every occupation n, slope n (n + 1) and pressure
+weight ln(1 - e^-x) here comes from the stable forms in bec1d.numerics.
 
 The limit q-integrals (densities, pressures, kernels) end where the Bose tail
 is negligible. Their integrands are bounded by the envelope
@@ -52,12 +55,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError
+from .errors import DomainError, _require_positive
 from .numerics import (
     EXP_CUTOFF,
     _bose_factor,
     _bose_occupations,
+    _bose_slope,
+    _bose_slopes,
     _gauss_kronrod,
+    _log1mexp,
+    _log1mexps,
     _log_newton,
 )
 from .poisson_geometry import IntervalPartition
@@ -69,7 +76,6 @@ _MU_TOLERANCE = 1e-12
 _SPLIT_EXPONENT = 4.0
 #: geometric-series terms kept for those levels; the remainder is e^{-40} relative
 _BOSE_TERMS = 10
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -114,18 +120,8 @@ def pressure_finite(source: IntervalPartition | LevelTable, beta: float, mu: flo
     """
     table = level_table(source, beta)
     _require_below_ground(mu, table.ground_energy)
-    logs = np.subtract(table.energies, mu)  # -x = -beta (E - mu), then ln(1 - e^-x) in place
-    np.negative(np.multiply(beta, logs, out=logs), out=logs)
-    # ln(-expm1(-x)) up to x = ln 2, log1p(-e^-x) beyond (Maechler 2012): 1 - e^-x
-    # rounds near 1, so ln(-expm1(-x)) alone is off by 1e-3 of its value at x = 30
-    far = logs < -_LN2
-    near = ~far
-    np.exp(logs, out=logs, where=far)
-    np.expm1(logs, out=logs, where=near)
-    np.negative(logs, out=logs)
-    np.log1p(logs, out=logs, where=far)
-    with np.errstate(divide="ignore"):
-        np.log(logs, out=logs, where=near)
+    x = np.subtract(table.energies, mu)  # beta (E - mu), then ln(1 - e^-x) in place
+    logs = _log1mexps(np.multiply(beta, x, out=x), out=x)
     return -float(logs.sum()) / (beta * table.total_length)
 
 
@@ -138,24 +134,19 @@ def density_finite(source: IntervalPartition | LevelTable, beta: float, mu: floa
 
 
 def _ids_weight_q(q: float, intensity: float) -> float:
-    """Density-of-states measure after E = q^2: intensity^2 C w / (q^2 (1-w)^2)."""
+    """Density-of-states measure after E = q^2: intensity^2 C n (n + 1) / q^2.
+
+    N(q^2) = intensity n(C intensity / q) with n the Bose factor, so its
+    q-derivative is this slope form at the same argument.
+    """
     if q <= 0.0:
         return 0.0
-    y = C * intensity / q
-    if y > EXP_CUTOFF:
-        return 0.0
-    w = math.exp(-y)
-    d = -math.expm1(-y)
-    return intensity * intensity * C * w / (q * q * d * d)
+    return intensity * intensity * C / (q * q) * _bose_slope(C * intensity / q)
 
 
 def _ids_weights_q(q: np.ndarray, intensity: float) -> np.ndarray:
     """Array form of _ids_weight_q, for q > 0."""
-    y = C * intensity / q
-    d = -np.expm1(-y)
-    weights = intensity * intensity * C * np.exp(-y) / (q * q * d * d)
-    np.copyto(weights, 0.0, where=y > EXP_CUTOFF)
-    return weights
+    return intensity * intensity * C / (q * q) * _bose_slopes(C * intensity / q)
 
 
 def _q_max(beta: float, mu: float, intensity: float) -> float:
@@ -171,7 +162,7 @@ def _interior_points(beta: float, mu: float, qmax: float) -> list[float]:
 
 
 def _limit_integral(params: ModelParams, beta: float, mu: float, weight) -> float:
-    """Integral of the limiting density of states against weight(E - mu), over E = q^2."""
+    """Integral of the limiting density of states against weight(beta (E - mu)), over E = q^2."""
     lam = params.intensity
     qmax = _q_max(beta, mu, lam)
 
@@ -179,7 +170,7 @@ def _limit_integral(params: ModelParams, beta: float, mu: float, weight) -> floa
         w = _ids_weight_q(q, lam)
         if w == 0.0:
             return 0.0
-        return w * weight(q * q - mu)
+        return w * weight(beta * (q * q - mu))
 
     val, _ = quad(integrand, 0.0, qmax, points=_interior_points(beta, mu, qmax), **_QUAD_OPTS)
     return val
@@ -187,25 +178,18 @@ def _limit_integral(params: ModelParams, beta: float, mu: float, weight) -> floa
 
 def pressure_limit(params: ModelParams, beta: float, mu: float) -> float:
     """Self-averaged pressure, -(1/beta) * integral of N'(E) ln(1 - e^{-beta(E-mu)})."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _require_positive("beta", beta)
     if not np.isfinite(mu) or mu >= 0:
         raise DomainError(f"the limit pressure needs mu < 0, got {mu}")
-
-    def log_weight(e: float) -> float:
-        x = beta * e
-        return 0.0 if x > EXP_CUTOFF else math.log(-math.expm1(-x))
-
-    return -_limit_integral(params, beta, mu, log_weight) / beta
+    return -_limit_integral(params, beta, mu, _log1mexp) / beta
 
 
 def density_limit(params: ModelParams, beta: float, mu: float) -> float:
     """Self-averaged particle density; mu = 0 gives the critical density."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _require_positive("beta", beta)
     if not np.isfinite(mu) or mu > 0:
         raise DomainError(f"the limit density needs mu <= 0, got {mu}")
-    return _limit_integral(params, beta, mu, lambda e: _bose_factor(beta * e))
+    return _limit_integral(params, beta, mu, _bose_factor)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -215,19 +199,8 @@ def _critical_density_cached(intensity: float, beta: float) -> float:
 
 def critical_density(params: ModelParams, beta: float) -> float:
     """Supremum of the limiting density over mu <= 0, attained at mu = 0 (finite)."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _require_positive("beta", beta)
     return _critical_density_cached(params.intensity, beta)
-
-
-def _bose_derivative_weight(energy: float, beta: float) -> float:
-    """beta e^{beta E} / (e^{beta E} - 1)^2, written in underflow-safe form."""
-    x = beta * energy
-    if x > EXP_CUTOFF:
-        return 0.0
-    u = math.exp(-x)
-    d = -math.expm1(-x)
-    return beta * u / (d * d)
 
 
 def critical_density_by_parts(params: ModelParams, beta: float) -> float:
@@ -237,18 +210,13 @@ def critical_density_by_parts(params: ModelParams, beta: float) -> float:
     vanish because the integrated density of states has a Lifshitz tail.
     Integrated over E = q^2, with knots at q = C lam and q = 1/sqrt(beta).
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _require_positive("beta", beta)
     lam = params.intensity
 
     def integrand(q: float) -> float:
-        w = _bose_derivative_weight(q * q, beta)
-        if w == 0.0 or q <= 0.0:
+        if q <= 0.0:
             return 0.0
-        y = C * lam / q
-        if y > EXP_CUTOFF:
-            return 0.0
-        return 2.0 * q * lam * math.exp(-y) / (-math.expm1(-y)) * w
+        return 2.0 * q * lam * _bose_factor(C * lam / q) * beta * _bose_slope(beta * q * q)
 
     qmax = math.sqrt(EXP_CUTOFF / beta)
     pts = sorted(p for p in {C * lam, 1.0 / math.sqrt(beta)} if p < qmax)
@@ -381,12 +349,20 @@ def condensate_finite(
     first. A window below the partition's ground energy is empty and yields
     exactly zero.
     """
+    _, occupations = _window_occupations(partition, beta, rho, epsilon)
+    return float(occupations.sum()) / partition.total_length
+
+
+def _window_occupations(
+    partition: IntervalPartition, beta: float, rho: float, epsilon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The levels below epsilon and their occupations at the finite mu of density rho."""
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     table = level_table(partition, beta, epsilon)
     mu = solve_mu_finite(table, beta, rho)
     window = table.energies[table.energies < epsilon]
-    return float(_bose_occupations(beta * (window - mu)).sum()) / table.total_length
+    return window, _bose_occupations(beta * (window - mu))
 
 
 def critical_density_bound(params: ModelParams, beta: float, amplitude: float) -> float:
@@ -396,27 +372,20 @@ def critical_density_bound(params: ModelParams, beta: float, amplitude: float) -
     IDS above it, both against the Bose derivative weight. Diverges as the
     amplitude shrinks to zero.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if amplitude <= 0:
-        raise ValueError("amplitude must be positive")
+    _require_positive("beta", beta)
+    _require_positive("amplitude", amplitude)
     lam = params.intensity
     e_split = (math.pi * amplitude / 8.0) ** 2
     emax = EXP_CUTOFF / beta
 
     def low(energy: float) -> float:
-        w = _bose_derivative_weight(energy, beta)
-        if w == 0.0 or energy <= 0.0:
+        if energy <= 0.0:
             return 0.0
         exponent = lam * (C / math.sqrt(energy) - 4.0 / amplitude)
-        if exponent > EXP_CUTOFF:
-            return 0.0
-        z = math.exp(-exponent)
-        return lam * z / (-math.expm1(-exponent)) * w
+        return lam * _bose_factor(exponent) * beta * _bose_slope(beta * energy)
 
     def high(energy: float) -> float:
-        w = _bose_derivative_weight(energy, beta)
-        return math.sqrt(energy) / C * w if w else 0.0
+        return math.sqrt(energy) / C * beta * _bose_slope(beta * energy)
 
     first, _ = quad(low, 0.0, min(e_split, emax), **_QUAD_OPTS)
     second = 0.0

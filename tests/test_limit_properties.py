@@ -4,12 +4,13 @@ The two kernel routes, panels between the knots and the mode series, share
 only the quadrature rule; each must land within its own error bound, so they
 agree to the sum of the two bounds. The same holds for the two critical
 density routes. A solved limit mu brackets its target density within the
-solver's stopping rule.
+solver's stopping rule, and the density is the mu-derivative of the pressure.
 """
 
 import math
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bec1d import (
@@ -18,6 +19,7 @@ from bec1d import (
     critical_density_by_parts,
     density_limit,
     kernel_limit,
+    pressure_limit,
     solve_mu_limit,
 )
 from util import kernel_route_bound, quad_bound
@@ -65,3 +67,24 @@ def test_critical_density_routes_agree(intensity, beta):
     direct = critical_density(params, beta)
     by_parts = critical_density_by_parts(params, beta)
     assert abs(direct - by_parts) <= quad_bound(direct) + quad_bound(by_parts)
+
+
+@given(
+    intensity=log_uniform(0.3, 3.0),
+    beta=log_uniform(0.3, 3.0),
+    beta_mu=st.floats(-35.0, -0.05),
+)
+@settings(max_examples=40)
+@example(intensity=1.0, beta=1.0, beta_mu=-35.0)
+def test_density_limit_is_the_mu_derivative_of_pressure_limit(intensity, beta, beta_mu):
+    # rho = dp/dmu by central differences, as the finite-side property test. The step
+    # is 1e-4 of the shorter scale, |mu| or 1/beta, so truncation costs ~2e-9 of rho
+    # and quad's ~1e-15 relative noise on p ~2e-10; the denominator is the float step
+    # actually taken. Deep below zero p ~ e^{beta mu}, where ln(1 - e^-x) needs its
+    # large-x form log1p(-e^-x): with ln(-expm1(-x)) alone the difference reads 0 at -35.
+    params = ModelParams(intensity)
+    mu = beta_mu / beta
+    h = 1e-4 * min(-mu, 1.0 / beta)
+    lo, hi = mu - h, mu + h
+    slope = (pressure_limit(params, beta, hi) - pressure_limit(params, beta, lo)) / (hi - lo)
+    assert slope == pytest.approx(density_limit(params, beta, mu), rel=1e-6, abs=0.0)

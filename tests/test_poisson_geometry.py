@@ -58,6 +58,16 @@ class TestSampling:
         with pytest.raises(DomainError, match="total_length"):
             poisson_lengths(1.0, total_length, NoDraws())
 
+    def test_seeded_lengths_are_pinned(self):
+        # both samplers share one draw-sort-diff loop; these lengths predate it
+        assert sample_uniform_partition(3.7, 4, seed=11).lengths.tolist() == [
+            0.4757097502460386, 1.3716183407823868, 0.37821583217799726, 1.4744560767935775,
+        ]
+        assert poisson_lengths(1.0, 5.0, trial_rng(3, 0)).tolist() == [
+            0.7986945731853928, 1.3669401279969762, 0.22962178952180112,
+            1.2776292663419024, 1.3271142429539273,
+        ]
+
     def test_scaling_covariance_is_exact_under_seed_pairing(self):
         base = sample_uniform_partition(1.0, 40, seed=123)
         scaled = sample_uniform_partition(7.5, 40, seed=123)

@@ -29,9 +29,8 @@ from bec1d import (
 )
 from bec1d import thermodynamics
 from bec1d.correlations import _limit_integrand
-from bec1d.numerics import EXP_CUTOFF, _bose_factor
+from bec1d.numerics import EXP_CUTOFF, _bose_factor, _bose_slope
 from bec1d.thermodynamics import (
-    _bose_derivative_weight,
     _ids_weight_q,
     _limit_density,
     _limit_integral,
@@ -308,7 +307,7 @@ class TestMuSolvers:
             value, slope = density(mu)
             direct = density_limit(params, beta, mu)
             direct_slope = _limit_integral(
-                params, beta, mu, lambda e: _bose_derivative_weight(e, beta)
+                params, beta, mu, lambda x: beta * _bose_slope(x)
             )
             assert abs(value - direct) <= quad_bound(value) + quad_bound(direct)
             assert abs(slope - direct_slope) <= quad_bound(slope) + quad_bound(direct_slope)
