@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _require_below, _require_positive
 from .poisson_geometry import (
     IntervalPartition,
     expected_largest,
@@ -35,6 +36,7 @@ from .rng import trial_rng
 from .spectrum import ModelParams, counting_function, ids_limit
 from .correlations import _condensed_kernel, kernel_finite, kernel_limit
 from .hierarchical import (
+    LayoutKind,
     build_layout,
     classify_condensate,
     hierarchical_critical_density,
@@ -52,6 +54,8 @@ from .thermodynamics import (
 )
 
 _COMMANDS = ("ids", "thermo", "correlate", "hierarchy", "orderstats", "localize")
+_FORMATS = ("csv", "json")
+_KINDS = tuple(kind.value for kind in LayoutKind)
 _TRIAL_ERRORS = (ConvergenceError, DomainError)
 
 
@@ -85,8 +89,8 @@ class ExperimentConfig:
             raise UsageError(f"unknown command {self.command!r}")
         if self.seeds < 1:
             raise UsageError(f"--seeds must be >= 1, got {self.seeds}")
-        if self.format not in ("csv", "json"):
-            raise UsageError(f"--format must be csv or json, got {self.format!r}")
+        if self.format not in _FORMATS:
+            raise UsageError(f"--format must be {'|'.join(_FORMATS)}, got {self.format!r}")
         for name, grid in (("--e-grid", self.e_grid), ("--r-grid", self.r_grid),
                            ("--l-ladder", self.l_ladder)):
             if grid and any(b <= a for a, b in zip(grid[:-1], grid[1:])):
@@ -95,11 +99,13 @@ class ExperimentConfig:
                              ("--rho", [self.rho]), ("--box-length", [self.box_length]),
                              ("--epsilon", [self.epsilon]), ("--delta", [self.delta]),
                              ("--e-grid", self.e_grid), ("--l-ladder", self.l_ladder)):
-            if not all(v is None or (np.isfinite(v) and v > 0) for v in values):
-                raise UsageError(f"{name} must be positive and finite, got {values}")
+            for v in values:
+                if v is not None:
+                    _require_positive(name, v, UsageError)
         for name, values in (("--mu", [self.mu]), ("--r-grid", self.r_grid)):
-            if not all(v is None or np.isfinite(v) for v in values):
-                raise UsageError(f"{name} must be finite, got {values}")
+            for v in values:
+                if v is not None:
+                    _require_below(name, v, math.inf, error=UsageError)
         if self.mu is not None and self.rho is not None:
             raise UsageError("set at most one of --mu and --rho")
         if self.command == "ids" and not self.e_grid:
@@ -116,8 +122,8 @@ class ExperimentConfig:
                 raise UsageError("hierarchy needs --rho")
             if not self.l_ladder:
                 raise UsageError("hierarchy needs a non-empty --l-ladder")
-            if self.kind not in ("type1", "type2", "type3"):
-                raise UsageError(f"--kind must be type1|type2|type3, got {self.kind!r}")
+            if self.kind not in _KINDS:
+                raise UsageError(f"--kind must be {'|'.join(_KINDS)}, got {self.kind!r}")
         if self.command == "localize" and self.rho is None:
             raise UsageError("localize needs --rho")
         if self.command == "orderstats" and self.k < 2:
@@ -230,8 +236,7 @@ def _run_correlate(cfg: ExperimentConfig):
     # one limit state per sweep, one level table and one mu per trial
     params = ModelParams(cfg.intensity)
     if cfg.mu is not None:
-        if cfg.mu >= 0:
-            raise UsageError("correlate with --mu needs mu < 0")
+        _require_below("--mu", cfg.mu, 0.0, error=UsageError)
         analytic = {r: kernel_limit(params, cfg.beta, cfg.mu, r) for r in cfg.r_grid}
     else:
         report = condensate_density(params, cfg.beta, cfg.rho)
@@ -432,11 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--r-grid", type=_float_list, help="separations")
     parser.add_argument("--l-ladder", type=_float_list, help="box lengths")
     parser.add_argument("--out", help="result file path")
-    parser.add_argument("--format", choices=("csv", "json"), help="result format")
+    parser.add_argument("--format", choices=_FORMATS, help="result format")
     parser.add_argument("--k", type=int, help="order-statistics sample size")
     parser.add_argument("--epsilon", type=float, help="energy window for localize")
-    parser.add_argument("--kind", choices=("type1", "type2", "type3"),
-                        help="hierarchical layout kind")
+    parser.add_argument("--kind", choices=_KINDS, help="hierarchical layout kind")
     parser.add_argument("--m-large", type=int, help="large-interval count (type1)")
     parser.add_argument("--delta", type=float, help="gap threshold for orderstats")
     return parser

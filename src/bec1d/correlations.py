@@ -42,14 +42,13 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import ConvergenceError, DomainError, _require_positive
+from .errors import ConvergenceError, _require_below, _require_positive
 from .numerics import EXP_CUTOFF, _bose_factor, _bose_occupations, _gauss_kronrod
 from .poisson_geometry import IntervalPartition
 from .spectrum import C, LevelTable, ModelParams
 from .thermodynamics import (
     CondensateReport,
     _q_max,
-    _require_below_ground,
     condensate_density,
     critical_density,
     density_finite,
@@ -75,10 +74,11 @@ def kernel_finite(source: IntervalPartition | LevelTable, beta: float, mu: float
     so this is density_finite, which is returned.
     """
     r = abs(float(r))
+    _require_below("|r|", r, math.inf)
     if r == 0.0:
         return density_finite(source, beta, mu)
     table = level_table(source, beta)
-    _require_below_ground(mu, table.ground_energy)
+    _require_below("mu", mu, table.ground_energy)
     energies, lens = table.energies, table.lengths
     keep = lens > r
     if not keep.all():
@@ -208,9 +208,10 @@ def kernel_limit(
     the panel route is the default.
     """
     _require_positive("beta", beta)
-    if not np.isfinite(mu) or mu >= 0:
-        raise DomainError(f"the limit kernel needs mu < 0, got {mu}")
-    return _kernel_integral(params.intensity, beta, mu, abs(float(r)), method)
+    _require_below("mu", mu, 0.0)
+    r = abs(float(r))
+    _require_below("|r|", r, math.inf)
+    return _kernel_integral(params.intensity, beta, mu, r, method)
 
 
 def kernel_with_condensate(params: ModelParams, beta: float, rho: float, r: float) -> float:
@@ -220,8 +221,9 @@ def kernel_with_condensate(params: ModelParams, beta: float, rho: float, r: floa
     potential; at or above it the condensate density is added to the kernel
     evaluated at mu = 0, which is why the large-r limit exhibits ODLRO.
     """
-    report = condensate_density(params, beta, rho)
-    return _condensed_kernel(params.intensity, beta, report, abs(float(r)))
+    r = abs(float(r))
+    _require_below("|r|", r, math.inf)
+    return _condensed_kernel(params.intensity, beta, condensate_density(params, beta, rho), r)
 
 
 def _condensed_kernel(intensity: float, beta: float, report: CondensateReport, r: float) -> float:
@@ -234,8 +236,7 @@ def odlro(params: ModelParams, beta: float, rho: float) -> float:
 
     Equals the condensate density max(0, rho - rho_c).
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    _require_positive("rho", rho)
     return max(0.0, rho - critical_density(params, beta))
 
 
@@ -246,9 +247,9 @@ def free_kernel(beta: float, mu: float, r: float) -> float:
     cosine-weighted adaptive quadrature.
     """
     _require_positive("beta", beta)
-    if not np.isfinite(mu) or mu >= 0:
-        raise DomainError(f"the free kernel needs mu < 0, got {mu}")
+    _require_below("mu", mu, 0.0)
     r = abs(float(r))
+    _require_below("|r|", r, math.inf)
     kmax = math.sqrt(2.0 * EXP_CUTOFF / beta)
 
     def integrand(k: float) -> float:
@@ -281,11 +282,11 @@ def decay_rate_fit(
     e^{-intensity * r}, so the slope is -intensity. The window's lower edge
     must sit past the crossover scale 5 / min(intensity, sqrt(2|mu|)).
     """
-    if not np.isfinite(mu) or mu >= 0:
-        raise DomainError(f"the decay fit needs mu < 0, got {mu}")
+    _require_below("mu", mu, 0.0)
     lo, hi = float(r_window[0]), float(r_window[1])
     if not (0 < lo < hi):
         raise ValueError(f"r_window must be an increasing positive pair, got {r_window}")
+    _require_below("r_window end", hi, math.inf, error=ValueError)
     crossover = 5.0 / min(params.intensity, math.sqrt(2.0 * abs(mu)))
     if lo < crossover * (1.0 - 1e-12):
         raise ValueError(

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, _require_positive
+from .errors import DomainError, _require_below, _require_positive
 from .numerics import _bose_occupations, _log_newton
 from .spectrum import C, C_SQUARED, TAIL_EXPONENT
 
@@ -81,10 +81,8 @@ def build_layout(
     too small for every derived length to be positive.
     """
     kind = LayoutKind(kind)
-    if not (np.isfinite(total_length) and total_length > 0):
-        raise ValueError(f"total_length must be positive, got {total_length}")
-    if not (np.isfinite(intensity) and intensity > 0):
-        raise ValueError(f"intensity must be positive, got {intensity}")
+    _require_positive("total_length", total_length)
+    _require_positive("intensity", intensity)
     if large_count < 1:
         raise ValueError(f"large_count must be >= 1, got {large_count}")
     if kind is not LayoutKind.TYPE_I and large_count != 1:
@@ -141,9 +139,7 @@ def _layout_density(layout: HierarchicalLayout, beta: float, mu: float) -> tuple
 def hierarchical_density(layout: HierarchicalLayout, beta: float, mu: float) -> float:
     """Particle density of the layout: large-interval towers plus the small bulk."""
     _require_positive("beta", beta)
-    ground = layout.ground_energy
-    if not np.isfinite(mu) or mu >= ground:
-        raise DomainError(f"mu must lie below the ground energy {ground:g}, got {mu}")
+    _require_below("mu", mu, layout.ground_energy)
     return _layout_density(layout, beta, mu)[0]
 
 
@@ -167,8 +163,7 @@ def solve_mu_hierarchical(layout: HierarchicalLayout, beta: float, rho: float) -
     Newton in ln(ground - mu), slope beta * sum n(n+1) from the same tower
     occupations n; it stops on a sign-verified bracket of width 1e-14 * max(1, |mu|).
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    _require_positive("rho", rho)
     _require_positive("beta", beta)
     return _log_newton(lambda mu: _layout_density(layout, beta, mu), rho, 1.0 / beta,
                        _MU_TOLERANCE, anchor=layout.ground_energy)
@@ -182,6 +177,7 @@ def solve_type2_coefficient(intensity: float, beta: float, rho: float) -> float:
     tower. Only defined above the critical density. Newton in ln A from
     A = 1/(rho - rho_c) stops on a sign-verified bracket of width 1e-14 * max(1, A).
     """
+    _require_positive("rho", rho, DomainError)
     rho_c = hierarchical_critical_density(intensity, beta)
     target = rho - rho_c
     if not target > 0:

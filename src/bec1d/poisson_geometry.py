@@ -55,12 +55,10 @@ class IntervalPartition:
     def __post_init__(self):
         lengths = np.asarray(self.lengths, dtype=float)
         object.__setattr__(self, "lengths", lengths)
-        if not np.isfinite(self.total_length) or self.total_length <= 0:
-            raise ValueError(f"total_length must be positive and finite, got {self.total_length}")
+        _require_positive("total_length", self.total_length)
         if lengths.ndim != 1 or lengths.size == 0:
             raise ValueError("lengths must be a non-empty 1-d array")
-        if not np.all(lengths > 0):
-            raise ValueError("every interval length must be positive")
+        _require_positive("the shortest interval length", lengths.min())
         if abs(lengths.sum() - self.total_length) > 1e-12 * self.total_length:
             raise ValueError("interval lengths do not tile the segment")
 
@@ -82,8 +80,7 @@ class PoissonParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.intensity) and self.intensity > 0):
-            raise ValueError(f"intensity must be positive, got {self.intensity}")
+        _require_positive("intensity", self.intensity)
 
 
 def _uniform_gaps(count: int, total_length: float, rng: np.random.Generator) -> np.ndarray:
@@ -106,8 +103,7 @@ def sample_uniform_partition(total_length: float, n_intervals: int, seed) -> Int
     samples with the same seed and different total_length are exact rescalings
     of each other.
     """
-    if not (np.isfinite(total_length) and total_length > 0):
-        raise ValueError(f"total_length must be positive and finite, got {total_length}")
+    _require_positive("total_length", total_length)
     if n_intervals < 1:
         raise ValueError(f"n_intervals must be >= 1, got {n_intervals}")
     lengths = _uniform_gaps(n_intervals - 1, total_length, as_generator(seed))
@@ -116,8 +112,8 @@ def sample_uniform_partition(total_length: float, n_intervals: int, seed) -> Int
 
 def poisson_lengths(intensity: float, total_length: float, rng: np.random.Generator) -> np.ndarray:
     """Interval lengths of one Poisson impurity configuration (internal driver path)."""
-    if not (math.isfinite(total_length) and total_length > 0):  # L = 0 would redraw forever
-        raise DomainError(f"total_length must be positive and finite, got {total_length}")
+    _require_positive("intensity", intensity)
+    _require_positive("total_length", total_length, DomainError)  # L = 0 would redraw forever
     mean_count = intensity * total_length
     if mean_count > 2.0**62:
         raise DomainError(f"expected impurity count {mean_count:g} exceeds integer range")

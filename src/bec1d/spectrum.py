@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _require_positive
+from .errors import DomainError, _require_below, _require_positive
 from .numerics import _bose_factor, _bose_slope
 from .poisson_geometry import IntervalPartition
 
@@ -48,8 +48,7 @@ class ModelParams:
     intensity: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.intensity) and self.intensity > 0):
-            raise ValueError(f"intensity must be positive, got {self.intensity}")
+        _require_positive("intensity", self.intensity)
 
 
 @dataclass(frozen=True)
@@ -76,8 +75,7 @@ class LevelTable:
 
 def dirichlet_eigenvalue(length: float, mode: int) -> float:
     """Energy of the mode-th Dirichlet level on an interval: (1/2)(pi*mode/length)^2."""
-    if not (np.isfinite(length) and length > 0):
-        raise ValueError(f"length must be positive, got {length}")
+    _require_positive("length", length)
     if mode < 1:
         raise ValueError(f"mode must be >= 1, got {mode}")
     return 0.5 * (math.pi * mode / length) ** 2
@@ -85,8 +83,7 @@ def dirichlet_eigenvalue(length: float, mode: int) -> float:
 
 def dirichlet_eigenfunction(length: float, left_endpoint: float, mode: int, x: float) -> float:
     """Normalized sine eigenfunction, zero outside the open interval."""
-    if not (np.isfinite(length) and length > 0):
-        raise ValueError(f"length must be positive, got {length}")
+    _require_positive("length", length)
     if mode < 1:
         raise ValueError(f"mode must be >= 1, got {mode}")
     if not (left_endpoint < x < left_endpoint + length):
@@ -112,8 +109,7 @@ def _modes_below(lengths: np.ndarray, energy: float) -> np.ndarray:
 
 def counting_function(partition: IntervalPartition, energy: float) -> float:
     """Volume-normalized number of levels strictly below `energy`."""
-    if not (np.isfinite(energy) and energy > 0):
-        raise ValueError(f"energy must be positive, got {energy}")
+    _require_positive("energy", energy)
     counts = _modes_below(partition.lengths, energy)
     return float(counts.sum()) / partition.total_length
 
@@ -148,8 +144,7 @@ def ids_limit(params: ModelParams, energy: float) -> float:
     factor at C * intensity / sqrt(E), so the Lifshitz-tail regime E -> 0
     underflows gracefully instead of overflowing.
     """
-    if not (np.isfinite(energy) and energy > 0):
-        raise DomainError(f"energy must be positive, got {energy}")
+    _require_positive("energy", energy, DomainError)
     return params.intensity * _bose_factor(C * params.intensity / math.sqrt(energy))
 
 
@@ -160,8 +155,7 @@ def ids_series(params: ModelParams, energy: float, tolerance: float = 1e-12) -> 
     Bose forms; truncation stops once the certified geometric tail bound drops
     below `tolerance` relative to the accumulated sum.
     """
-    if not (np.isfinite(energy) and energy > 0):
-        raise DomainError(f"energy must be positive, got {energy}")
+    _require_positive("energy", energy, DomainError)
     _require_positive("tolerance", tolerance)
     w = math.exp(-C * params.intensity / math.sqrt(energy))
     if w == 0.0:
@@ -178,8 +172,7 @@ def ids_series(params: ModelParams, energy: float, tolerance: float = 1e-12) -> 
 
 def ids_free(energy: float) -> float:
     """Integrated density of states of the impurity-free line: sqrt(2 E) / pi."""
-    if not (np.isfinite(energy) and energy > 0):
-        raise DomainError(f"energy must be positive, got {energy}")
+    _require_positive("energy", energy, DomainError)
     return math.sqrt(2.0 * energy) / math.pi
 
 
@@ -188,8 +181,7 @@ def dos_limit(params: ModelParams, energy: float) -> float:
 
     w / (1 - w)^2 is the Bose slope n (n + 1) at C * intensity / sqrt(E).
     """
-    if not (np.isfinite(energy) and energy > 0):
-        raise DomainError(f"energy must be positive, got {energy}")
+    _require_positive("energy", energy, DomainError)
     lam = params.intensity
     return 0.5 * lam * lam * C / energy**1.5 * _bose_slope(C * lam / math.sqrt(energy))
 
@@ -208,9 +200,7 @@ def ids_finite_amplitude_bound(params: ModelParams, amplitude: float, energy: fl
     converges. Recovers ids_limit as amplitude -> infinity.
     """
     limit = finite_amplitude_threshold(amplitude)
-    if not (np.isfinite(energy) and 0 < energy < limit):
-        raise DomainError(
-            f"energy must lie in (0, pi^2 a^2/32) = (0, {limit:g}), got {energy}"
-        )
+    _require_positive("energy", energy, DomainError)
+    _require_below("energy (window pi^2 a^2/32)", energy, limit)
     exponent = params.intensity * (C / math.sqrt(energy) - 4.0 / amplitude)
     return params.intensity * _bose_factor(exponent)

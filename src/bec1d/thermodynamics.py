@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError, _require_positive
+from .errors import _require_below, _require_positive
 from .numerics import (
     EXP_CUTOFF,
     _bose_factor,
@@ -94,8 +94,8 @@ def level_table(source: IntervalPartition | LevelTable, beta: float,
     A partition is enumerated; a table is returned unchanged if its cutoff
     covers that one (ValueError if not), so one table serves every observable.
     """
-    if not (np.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be positive, got {beta}")
+    _require_positive("beta", beta)
+    _require_below("window", window, math.inf)
     longest = source.longest_length if isinstance(source, LevelTable) else source.lengths.max()
     # one expression for both paths: the scalar (C / L)^2 may be an ulp off the table's E0
     cutoff = max((C / longest) ** 2 + TAIL_EXPONENT / beta, window)
@@ -106,11 +106,6 @@ def level_table(source: IntervalPartition | LevelTable, beta: float,
     return source
 
 
-def _require_below_ground(mu: float, ground: float):
-    if not np.isfinite(mu) or mu >= ground:
-        raise DomainError(f"mu must lie below the spectral bottom {ground:g}, got {mu}")
-
-
 def pressure_finite(source: IntervalPartition | LevelTable, beta: float, mu: float) -> float:
     """Grand-canonical pressure of one partition, or of its level table.
 
@@ -119,7 +114,7 @@ def pressure_finite(source: IntervalPartition | LevelTable, beta: float, mu: flo
     spectral bottom, with discarded tail below 1e-20 per level.
     """
     table = level_table(source, beta)
-    _require_below_ground(mu, table.ground_energy)
+    _require_below("mu", mu, table.ground_energy)
     x = np.subtract(table.energies, mu)  # beta (E - mu), then ln(1 - e^-x) in place
     logs = _log1mexps(np.multiply(beta, x, out=x), out=x)
     return -float(logs.sum()) / (beta * table.total_length)
@@ -128,7 +123,7 @@ def pressure_finite(source: IntervalPartition | LevelTable, beta: float, mu: flo
 def density_finite(source: IntervalPartition | LevelTable, beta: float, mu: float) -> float:
     """Grand-canonical particle density of one partition, or of its level table."""
     table = level_table(source, beta)
-    _require_below_ground(mu, table.ground_energy)
+    _require_below("mu", mu, table.ground_energy)
     x = np.subtract(table.energies, mu)
     return float(_bose_occupations(np.multiply(beta, x, out=x), out=x).sum()) / table.total_length
 
@@ -179,16 +174,14 @@ def _limit_integral(params: ModelParams, beta: float, mu: float, weight) -> floa
 def pressure_limit(params: ModelParams, beta: float, mu: float) -> float:
     """Self-averaged pressure, -(1/beta) * integral of N'(E) ln(1 - e^{-beta(E-mu)})."""
     _require_positive("beta", beta)
-    if not np.isfinite(mu) or mu >= 0:
-        raise DomainError(f"the limit pressure needs mu < 0, got {mu}")
+    _require_below("mu", mu, 0.0)
     return -_limit_integral(params, beta, mu, _log1mexp) / beta
 
 
 def density_limit(params: ModelParams, beta: float, mu: float) -> float:
     """Self-averaged particle density; mu = 0 gives the critical density."""
     _require_positive("beta", beta)
-    if not np.isfinite(mu) or mu > 0:
-        raise DomainError(f"the limit density needs mu <= 0, got {mu}")
+    _require_below("mu", mu, 0.0, inclusive=True)
     return _limit_integral(params, beta, mu, _bose_factor)
 
 
@@ -272,8 +265,7 @@ def solve_mu_finite(source: IntervalPartition | LevelTable, beta: float, rho: fl
     moments (module docstring), exact to 4e-18 relative per level (5e-17 for
     the slope); each Newton step sums only the levels below that split.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    _require_positive("rho", rho)
     table = level_table(source, beta)
     return _log_newton(
         _table_density(table, beta), rho, 1.0 / beta, _MU_TOLERANCE, anchor=table.ground_energy
@@ -318,8 +310,7 @@ def solve_mu_limit(params: ModelParams, beta: float, rho: float) -> float:
     estimate stays below quad's bound, 1e-12 of the integral plus 1e-13.
     density_limit stays on quad, an independent check.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    _require_positive("rho", rho)
     rho_c = critical_density(params, beta)
     if rho >= rho_c:
         return 0.0
@@ -332,8 +323,7 @@ def condensate_density(params: ModelParams, beta: float, rho: float) -> Condensa
     rho exactly at the critical density counts as condensed with zero
     condensate, so mu_limit is 0 there.
     """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    _require_positive("rho", rho)
     rho_c = critical_density(params, beta)
     return CondensateReport(
         rho_c=rho_c, rho_0=max(0.0, rho - rho_c), mu_limit=solve_mu_limit(params, beta, rho)
@@ -357,8 +347,7 @@ def _window_occupations(
     partition: IntervalPartition, beta: float, rho: float, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The levels below epsilon and their occupations at the finite mu of density rho."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _require_positive("epsilon", epsilon)
     table = level_table(partition, beta, epsilon)
     mu = solve_mu_finite(table, beta, rho)
     window = table.energies[table.energies < epsilon]

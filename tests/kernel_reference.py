@@ -12,7 +12,7 @@ import math
 from scipy.integrate import quad
 
 from bec1d import C
-from bec1d.thermodynamics import _require_below_ground
+from bec1d.errors import _require_below
 
 
 def kernel_finite_bruteforce(partition, beta: float, mu: float, r: float,
@@ -24,7 +24,7 @@ def kernel_finite_bruteforce(partition, beta: float, mu: float, r: float,
     """
     r = abs(float(r))
     lengths = partition.lengths
-    _require_below_ground(mu, (C / lengths.max()) ** 2)
+    _require_below("mu", mu, (C / lengths.max()) ** 2)
     total = 0.0
     for length in lengths:
         if length <= r:

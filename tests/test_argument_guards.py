@@ -1,14 +1,20 @@
-"""NaN arguments fail fast, with the exception a non-positive value raises.
+"""NaN and infinite arguments fail fast, with the exception an out-of-range value raises.
 
-Every positivity guard is one helper, bec1d.errors._require_positive, whose
-comparison NaN fails; a guard written `if x <= 0` lets NaN through to a
-silent 0.0, a NaN result or an untyped error deep inside.
+Every argument check is one of two guards in bec1d.errors: _require_positive
+(0 < value < inf) and _require_below (finite and below a bound). A guard
+written `if x <= 0` lets NaN through to a silent 0.0, a NaN result or an
+untyped error deep inside, and one without a finiteness test lets inf through
+to the T -> 0 or empty-box value.
 """
 
 import math
+import pathlib
+import re
 
+import numpy as np
 import pytest
 
+import bec1d
 from bec1d import ModelParams, build_layout, sample_poisson_partition, PoissonParams
 from bec1d import correlations as corr
 from bec1d import hierarchical as hier
@@ -16,6 +22,7 @@ from bec1d import order_localization as loc
 from bec1d import poisson_geometry as geo
 from bec1d import spectrum as spec
 from bec1d import thermodynamics as thermo
+from bec1d.errors import DomainError
 
 P = ModelParams(1.0)
 LAYOUT = build_layout("type1", 1e4, 1.0)
@@ -51,6 +58,61 @@ CASES = {
     "spacing_probability_exact intensity": lambda v: loc.spacing_probability_exact(5, 1.0, 0.5, v),
     "SpacingQuery amplitude": lambda v: loc.SpacingQuery(5, v, 0.5, 1.0, 10),
     "SpacingQuery intensity": lambda v: loc.SpacingQuery(5, 1.0, 0.5, v, 10),
+    "ModelParams intensity": lambda v: ModelParams(v),
+    "PoissonParams intensity": lambda v: PoissonParams(v),
+    "IntervalPartition total_length": lambda v: geo.IntervalPartition([1.0], v),
+    "sample_uniform_partition total_length": lambda v: geo.sample_uniform_partition(v, 3, 0),
+    "poisson_lengths intensity": lambda v: geo.poisson_lengths(v, 10.0, np.random.default_rng(0)),
+    "poisson_lengths total_length": lambda v: geo.poisson_lengths(1.0, v, np.random.default_rng(0)),
+    "largest_interval_scaling intensity": lambda v: loc.largest_interval_scaling(v, 100.0, 2, 0),
+    "ground_state_occupation_fraction intensity":
+        lambda v: loc.ground_state_occupation_fraction(v, 1.0, 0.5, 50.0, [0]),
+    "dirichlet_eigenvalue length": lambda v: spec.dirichlet_eigenvalue(v, 1),
+    "dirichlet_eigenfunction length": lambda v: spec.dirichlet_eigenfunction(v, 0.0, 1, 0.1),
+    "counting_function energy": lambda v: spec.counting_function(PART, v),
+    "ids_limit energy": lambda v: spec.ids_limit(P, v),
+    "ids_series energy": lambda v: spec.ids_series(P, v),
+    "ids_free energy": lambda v: spec.ids_free(v),
+    "dos_limit energy": lambda v: spec.dos_limit(P, v),
+    "ids_finite_amplitude_bound energy": lambda v: spec.ids_finite_amplitude_bound(P, 10.0, v),
+    "build_layout total_length": lambda v: build_layout("type1", v, 1.0),
+    "build_layout intensity": lambda v: build_layout("type1", 1e4, v),
+    "level_table beta": lambda v: thermo.level_table(PART, v),
+    "solve_mu_finite rho": lambda v: thermo.solve_mu_finite(PART, 1.0, v),
+    "solve_mu_limit beta": lambda v: thermo.solve_mu_limit(P, v, 0.1),
+    "solve_mu_limit rho": lambda v: thermo.solve_mu_limit(P, 1.0, v),
+    "condensate_density rho": lambda v: thermo.condensate_density(P, 1.0, v),
+    "condensate_finite epsilon": lambda v: thermo.condensate_finite(PART, 1.0, 0.5, v),
+    "odlro rho": lambda v: corr.odlro(P, 1.0, v),
+    "solve_mu_hierarchical rho": lambda v: hier.solve_mu_hierarchical(LAYOUT, 1.0, v),
+    "decay_rate_fit r_window": lambda v: corr.decay_rate_fit(P, 1.0, -0.5, (5.0, v)),
+}
+
+#: a threshold, not a positive parameter: P{gap > 0} = 1 and P{gap > inf} = 0 exactly
+NON_NEGATIVE = {"gap_exceedance_probability delta"}
+
+# "function mu": a call with that chemical potential, the others valid; each
+# bound is 0 or the ground energy, which 10 lies above
+MU_CASES = {
+    "density_limit": lambda v: thermo.density_limit(P, 1.0, v),
+    "pressure_limit": lambda v: thermo.pressure_limit(P, 1.0, v),
+    "kernel_limit": lambda v: corr.kernel_limit(P, 1.0, v, 1.0),
+    "free_kernel": lambda v: corr.free_kernel(1.0, v, 1.0),
+    "hierarchical_density": lambda v: hier.hierarchical_density(LAYOUT, 1.0, v),
+    "density_finite": lambda v: thermo.density_finite(PART, 1.0, v),
+    "pressure_finite": lambda v: thermo.pressure_finite(PART, 1.0, v),
+    "kernel_finite": lambda v: corr.kernel_finite(PART, 1.0, v, 1.0),
+    "decay_rate_fit": lambda v: corr.decay_rate_fit(P, 1.0, v, (5.0, 10.0)),
+}
+
+# arguments that must only be finite: separations (either sign) and the table window
+FINITE_CASES = {
+    "kernel_limit r": lambda v: corr.kernel_limit(P, 1.0, -1.0, v),
+    "kernel_limit r series": lambda v: corr.kernel_limit(P, 1.0, -1.0, v, method="series"),
+    "kernel_with_condensate r": lambda v: corr.kernel_with_condensate(P, 1.0, 0.1, v),
+    "kernel_finite r": lambda v: corr.kernel_finite(PART, 1.0, -1.0, v),
+    "free_kernel r": lambda v: corr.free_kernel(1.0, -1.0, v),
+    "level_table window": lambda v: thermo.level_table(PART, 1.0, v),
 }
 
 
@@ -59,10 +121,47 @@ def test_nan_raises_what_a_non_positive_value_raises(case):
     call = CASES[case]
     with pytest.raises(ValueError) as non_positive:
         call(-1.0)
-    with pytest.raises(ValueError, match=case.split()[1]) as nan:
-        call(math.nan)
-    assert type(nan.value) is type(non_positive.value)
+    invalid = (math.nan,) if case in NON_NEGATIVE else (math.nan, math.inf, 0.0)
+    for value in invalid:
+        with pytest.raises(ValueError, match=re.escape(case.split()[1])) as bad:
+            call(value)
+        assert type(bad.value) is type(non_positive.value), value
 
 
 def test_zero_delta_stays_allowed():
     assert geo.gap_exceedance_probability(1.0, 0.0) == 1.0
+
+
+def test_infinite_delta_gives_zero():
+    assert geo.gap_exceedance_probability(1.0, math.inf) == 0.0
+
+
+@pytest.mark.parametrize("case", sorted(MU_CASES))
+@pytest.mark.parametrize("mu", [10.0, math.nan, math.inf, -math.inf])
+def test_mu_outside_its_domain_raises_domain_error(case, mu):
+    with pytest.raises(DomainError, match="mu"):
+        MU_CASES[case](mu)
+
+
+def test_limit_density_accepts_mu_zero():
+    assert thermo.density_limit(P, 1.0, 0.0) == thermo.critical_density(P, 1.0)
+    with pytest.raises(DomainError, match="mu"):
+        thermo.pressure_limit(P, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("case", sorted(FINITE_CASES))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_separation_or_window_raises_domain_error(case, value):
+    with pytest.raises(DomainError, match="must be finite"):
+        FINITE_CASES[case](value)
+
+
+def test_only_errors_states_the_domain_rule():
+    package = pathlib.Path(bec1d.__file__).parent
+    offenders = [
+        path.name for path in sorted(package.glob("*.py"))
+        if path.name != "errors.py"
+        and any(text in path.read_text(encoding="utf-8")
+                for text in ("must be positive", "must lie below"))
+    ]
+    assert offenders == []
