@@ -34,7 +34,7 @@ from .poisson_geometry import (
 )
 from .rng import trial_rng
 from .spectrum import ModelParams, counting_function, ids_limit
-from .correlations import _condensed_kernel, kernel_finite, kernel_limit
+from .correlations import kernel_finite, kernel_limit
 from .hierarchical import (
     LayoutKind,
     build_layout,
@@ -89,6 +89,8 @@ class ExperimentConfig:
             raise UsageError(f"unknown command {self.command!r}")
         if self.seeds < 1:
             raise UsageError(f"--seeds must be >= 1, got {self.seeds}")
+        if self.base_seed < 0:
+            raise UsageError(f"--base-seed must be >= 0, got {self.base_seed}")
         if self.format not in _FORMATS:
             raise UsageError(f"--format must be {'|'.join(_FORMATS)}, got {self.format!r}")
         for name, grid in (("--e-grid", self.e_grid), ("--r-grid", self.r_grid),
@@ -126,8 +128,11 @@ class ExperimentConfig:
                 raise UsageError(f"--kind must be {'|'.join(_KINDS)}, got {self.kind!r}")
         if self.command == "localize" and self.rho is None:
             raise UsageError("localize needs --rho")
-        if self.command == "orderstats" and self.k < 2:
-            raise UsageError(f"--k must be >= 2, got {self.k}")
+        if self.command == "orderstats":
+            if self.k < 2:
+                raise UsageError(f"--k must be >= 2, got {self.k}")
+            if self.seeds < 2:
+                raise UsageError(f"orderstats needs --seeds >= 2, got {self.seeds}")
 
 
 def _fmt(value) -> str:
@@ -236,12 +241,12 @@ def _run_correlate(cfg: ExperimentConfig):
     # one limit state per sweep, one level table and one mu per trial
     params = ModelParams(cfg.intensity)
     if cfg.mu is not None:
-        _require_below("--mu", cfg.mu, 0.0, error=UsageError)
-        analytic = {r: kernel_limit(params, cfg.beta, cfg.mu, r) for r in cfg.r_grid}
+        _require_below("--mu", cfg.mu, 0.0, inclusive=True, error=UsageError)
+        rho_0, mu_limit = 0.0, cfg.mu
     else:
         report = condensate_density(params, cfg.beta, cfg.rho)
-        analytic = {r: _condensed_kernel(cfg.intensity, cfg.beta, report, abs(r))
-                    for r in cfg.r_grid}
+        rho_0, mu_limit = report.rho_0, report.mu_limit
+    analytic = {r: rho_0 + kernel_limit(params, cfg.beta, mu_limit, r) for r in cfg.r_grid}
 
     def per_trial(trial):
         table = level_table(_trial_partition(cfg, cfg.box_length, trial), cfg.beta)

@@ -29,9 +29,13 @@ failing subpanels are bisected. So each route's error is at most 5e-13 of its
 absolute integral plus 1e-16 per panel or term, times the prefactor. The
 series keeps its stopping rule term by term and raises ConvergenceError once
 its summed estimates exceed that tolerance.
-At coincident points the kernel equals the particle density, at infinite
-separation it tends to the condensate density, and the impurities multiply
-the free-gas decay by exactly e^{-lam r}.
+
+kernel_limit is the one entry to both routes. It takes mu <= 0 (mu = 0 is
+the critical gas), returns density_limit at r = 0, and returns 0.0 without
+any quadrature where e^{-lam r} underflows. kernel_with_condensate is the
+condensate density plus kernel_limit at the report's mu_limit, so at infinite
+separation it tends to the condensate density; the impurities multiply the
+free-gas decay by exactly e^{-lam r}.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .numerics import EXP_CUTOFF, _bose_factor, _bose_occupations, _gauss_kronro
 from .poisson_geometry import IntervalPartition
 from .spectrum import C, LevelTable, ModelParams
 from .thermodynamics import (
-    CondensateReport,
     _q_max,
     condensate_density,
     critical_density,
@@ -185,50 +188,40 @@ def _kernel_integral_series(intensity: float, beta: float, mu: float, r: float) 
     raise ConvergenceError("kernel mode series did not converge")
 
 
-def _kernel_integral(
-    intensity: float, beta: float, mu: float, r: float, method: str = "panels"
-) -> float:
-    if r == 0.0:
-        return density_limit(ModelParams(intensity), beta, mu)
-    if method == "panels":
-        return _kernel_integral_panels(intensity, beta, mu, r)
-    if method == "series":
-        return _kernel_integral_series(intensity, beta, mu, r)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def kernel_limit(
     params: ModelParams, beta: float, mu: float, r: float, method: str = "panels"
 ) -> float:
-    """Thermodynamic-limit space-averaged kernel at mu < 0.
+    """Thermodynamic-limit space-averaged kernel at mu <= 0.
 
-    `method` selects the evaluation route: "panels" integrates adaptively
-    between the integer knots of the resummed integrand, "series" sums the
-    windowed mode integrals. The two routes are independent and must agree;
-    the panel route is the default.
+    r = 0 gives density_limit, and a separation where e^{-lam r} underflows
+    gives 0.0 before any quadrature runs. Otherwise `method` selects the
+    evaluation route: "panels" integrates adaptively between the integer knots
+    of the resummed integrand, "series" sums the windowed mode integrals. The
+    two routes are independent and must agree; the panel route is the default.
     """
     _require_positive("beta", beta)
-    _require_below("mu", mu, 0.0)
+    _require_below("mu", mu, 0.0, inclusive=True)
     r = abs(float(r))
     _require_below("|r|", r, math.inf)
-    return _kernel_integral(params.intensity, beta, mu, r, method)
+    if method not in ("panels", "series"):
+        raise ValueError(f"unknown method {method!r}")
+    if r == 0.0:
+        return density_limit(params, beta, mu)
+    if math.exp(-params.intensity * r) == 0.0:
+        return 0.0
+    route = _kernel_integral_panels if method == "panels" else _kernel_integral_series
+    return route(params.intensity, beta, mu, r)
 
 
 def kernel_with_condensate(params: ModelParams, beta: float, rho: float, r: float) -> float:
     """Limit kernel at fixed density, condensed or not.
 
-    Below the critical density this is the kernel at the solved chemical
-    potential; at or above it the condensate density is added to the kernel
-    evaluated at mu = 0, which is why the large-r limit exhibits ODLRO.
+    The condensate density plus kernel_limit at the solved chemical potential,
+    which is 0 at or above the critical density; so the large-r limit exhibits
+    ODLRO.
     """
-    r = abs(float(r))
-    _require_below("|r|", r, math.inf)
-    return _condensed_kernel(params.intensity, beta, condensate_density(params, beta, rho), r)
-
-
-def _condensed_kernel(intensity: float, beta: float, report: CondensateReport, r: float) -> float:
-    """Condensate density plus the limit kernel at the report's mu, for r >= 0."""
-    return report.rho_0 + _kernel_integral(intensity, beta, report.mu_limit, r)
+    report = condensate_density(params, beta, rho)
+    return report.rho_0 + kernel_limit(params, beta, report.mu_limit, r)
 
 
 def odlro(params: ModelParams, beta: float, rho: float) -> float:

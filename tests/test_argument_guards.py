@@ -7,6 +7,7 @@ untyped error deep inside, and one without a finiteness test lets inf through
 to the T -> 0 or empty-box value.
 """
 
+import ast
 import math
 import pathlib
 import re
@@ -165,3 +166,19 @@ def test_only_errors_states_the_domain_rule():
                 for text in ("must be positive", "must lie below"))
     ]
     assert offenders == []
+
+
+def test_cli_imports_no_private_name_but_the_guards():
+    # the CLI reaches the package through its public names; only the two
+    # domain guards of errors are shared with it
+    package = pathlib.Path(bec1d.__file__).parent
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}" for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "bec1d")
+        and (node.module or "").split(".")[-1] != "errors"
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []

@@ -10,6 +10,7 @@ import bec1d.cli as cli
 from bec1d import (
     ConvergenceError,
     ModelParams,
+    condensate_density,
     critical_density,
     expected_largest,
     ids_limit,
@@ -132,6 +133,17 @@ class TestValidation:
         monkeypatch.setattr(cli, "poisson_lengths", no_partition)
         out = tmp_path / "x.csv"
         assert run_cli([*argv, "--seeds", "2", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.meta.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["thermo", "--mu", "-0.5", "--base-seed", "-1"],
+        ["orderstats", "--k", "3", "--seeds", "1"],
+        ["correlate", "--mu", "0.1", "--r-grid", "0 1"],
+    ])
+    def test_negative_seed_single_orderstats_trial_or_positive_correlate_mu(self, tmp_path, argv):
+        out = tmp_path / "x.csv"
+        assert run_cli([*argv, "--out", str(out)]) == 2
         assert not out.exists()
         assert not (tmp_path / "x.csv.meta.json").exists()
 
@@ -312,6 +324,26 @@ class TestOtherCommands:
         _, rows = read_csv(out)
         assert len(rows) == 2
         assert float(rows[0]["mc_mean"]) == pytest.approx(float(rows[0]["analytic"]), rel=0.25)
+
+    @pytest.mark.parametrize("fixed", [["--rho", "0.5"], ["--mu", "-0.5"], ["--mu", "0"]])
+    def test_correlate_past_underflow(self, tmp_path, monkeypatch, fixed):
+        # e^{-1e4} is 0.0, so the kernel part of the far row is 0.0 without
+        # a quadrature; above the critical density the row keeps rho_0
+        def no_quadrature(*args):
+            raise AssertionError("a quadrature ran")
+
+        monkeypatch.setattr(correlations, "_gauss_kronrod", no_quadrature)
+        out = tmp_path / "c.csv"
+        code = run_cli([
+            "correlate", *fixed, "--r-grid", "0 1e4", "--box-length", "100", "--seeds", "1",
+            "--out", str(out),
+        ])
+        assert code == 0
+        near, far = read_csv(out)[1]
+        assert float(far["separation"]) == 1e4
+        rho_0 = 0.0 if fixed[0] == "--mu" else condensate_density(ModelParams(1.0), 1.0, 0.5).rho_0
+        assert float(far["analytic"]) == rho_0
+        assert float(near["analytic"]) > 0.0
 
     def test_orderstats_analytic_columns(self, tmp_path):
         out = tmp_path / "o.csv"

@@ -11,6 +11,7 @@ from bec1d import (
     DomainError,
     ModelParams,
     PoissonParams,
+    condensate_density,
     critical_density,
     decay_rate_fit,
     density_finite,
@@ -116,9 +117,38 @@ class TestKernelLimit:
         for r in (0.3, 1.0, 2.5, 7.0):
             assert abs(kernel_limit(PARAMS, 1.0, -0.5, r)) <= rho
 
-    def test_needs_negative_mu(self):
+    def test_accepts_zero_mu_but_not_positive_mu(self):
+        assert math.isfinite(kernel_limit(PARAMS, 1.0, 0.0, 1.0))
         with pytest.raises(DomainError):
-            kernel_limit(PARAMS, 1.0, 0.0, 1.0)
+            kernel_limit(PARAMS, 1.0, 1e-12, 1.0)
+
+    def test_coincident_points_at_zero_mu_give_the_critical_density(self):
+        assert kernel_limit(PARAMS, 1.0, 0.0, 0.0) == critical_density(PARAMS, 1.0)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_routes_agree_at_zero_mu(self, lam, beta):
+        params = ModelParams(lam)
+        for r in (1.0, 5.0, 20.0):
+            panels = kernel_limit(params, beta, 0.0, r, method="panels")
+            series = kernel_limit(params, beta, 0.0, r, method="series")
+            allowed = (kernel_route_bound(lam, beta, 0.0, r, "panels")
+                       + kernel_route_bound(lam, beta, 0.0, r, "series"))
+            assert abs(panels - series) <= allowed, r
+
+    @pytest.mark.parametrize("method", ["panels", "series"])
+    def test_no_quadrature_once_the_prefactor_underflows(self, monkeypatch, method):
+        # e^{-1e4} is 0.0; cutting the panels or terms up to r = 1e4 never finished
+        def no_quadrature(*args):
+            raise AssertionError("a quadrature ran")
+
+        monkeypatch.setattr(correlations, "_gauss_kronrod", no_quadrature)
+        assert kernel_limit(ModelParams(1.0), 1.0, -1.0, 1e4, method=method) == 0.0
+
+    @pytest.mark.parametrize("r", [0.0, 1.0])
+    def test_unknown_method_raises(self, r):
+        with pytest.raises(ValueError, match="unknown method"):
+            kernel_limit(PARAMS, 1.0, -0.5, r, method="trapezoid")
 
 
 class TestSeriesErrorCheck:
@@ -188,6 +218,13 @@ class TestCondensedKernel:
         val = kernel_with_condensate(PARAMS, 1.0, rho, 50.0)
         assert val == pytest.approx(0.5, rel=1e-2)
         assert abs(kernel_with_condensate(PARAMS, 1.0, rho_c + 0.25, 100.0) - 0.25) < 1e-3
+
+    def test_condensed_is_the_condensate_plus_the_critical_kernel(self):
+        rho = critical_density(PARAMS, 1.0) + 0.5
+        rho_0 = condensate_density(PARAMS, 1.0, rho).rho_0
+        for r in (0.0, 2.0, 50.0):
+            assert kernel_with_condensate(PARAMS, 1.0, rho, r) == (
+                rho_0 + kernel_limit(PARAMS, 1.0, 0.0, r))
 
     def test_subcritical_matches_solved_mu(self):
         rho_c = critical_density(PARAMS, 1.0)
