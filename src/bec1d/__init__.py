@@ -10,7 +10,6 @@ from .errors import ConvergenceError, DomainError
 from .poisson_geometry import (
     EULER_GAMMA,
     IntervalPartition,
-    PoissonParams,
     expected_largest,
     expected_second_largest,
     gap_exceedance_probability,
@@ -78,7 +77,6 @@ from .hierarchical import (
 from .order_localization import (
     GroundStateShare,
     SpacingEstimate,
-    SpacingQuery,
     ground_state_occupation_fraction,
     ground_state_share,
     largest_interval_scaling,

@@ -30,7 +30,7 @@ from .poisson_geometry import (
     expected_second_largest,
     gap_exceedance_probability,
     gap_variance,
-    poisson_lengths,
+    sample_poisson_partition,
 )
 from .rng import trial_rng
 from .spectrum import ModelParams, counting_function, ids_limit
@@ -150,8 +150,7 @@ def _rel_dev(mc: float, analytic: float | None) -> float | None:
 
 
 def _trial_partition(cfg: ExperimentConfig, box_length: float, trial: int) -> IntervalPartition:
-    rng = trial_rng(cfg.base_seed, trial)
-    return IntervalPartition(poisson_lengths(cfg.intensity, box_length, rng), box_length)
+    return sample_poisson_partition(cfg.intensity, box_length, trial_rng(cfg.base_seed, trial))
 
 
 def _sweep(cfg, grid, per_trial):
@@ -180,8 +179,11 @@ def _sweep(cfg, grid, per_trial):
     return samples, failures
 
 
-def _mc_rows(cfg, grid_name, grid, per_trial, analytic_for):
-    """Mean and std of the swept per-trial values, one row per grid point."""
+def _mc_rows(cfg, grid_name, grid, per_trial, analytic_for, **columns):
+    """Mean and std of the swept per-trial values, one row per grid point.
+
+    `columns` are the sweep's constant columns, written after the status.
+    """
     samples, failures = _sweep(cfg, grid, per_trial)
     rows = []
     for g in grid:
@@ -198,6 +200,7 @@ def _mc_rows(cfg, grid_name, grid, per_trial, analytic_for):
             "analytic": analytic,
             "rel_deviation": _rel_dev(mean, analytic),
             "status": "ok" if failures[g] == 0 else "trial_failures",
+            **columns,
         })
     return rows
 
@@ -210,10 +213,8 @@ def _run_ids(cfg: ExperimentConfig):
         part = _trial_partition(cfg, cfg.box_length, trial)
         return lambda e: counting_function(part, e)
 
-    rows = _mc_rows(cfg, "energy", cfg.e_grid, per_trial, analytic.get)
-    for row in rows:
-        row["box_length"] = cfg.box_length
-    return rows, {}
+    return _mc_rows(cfg, "energy", cfg.e_grid, per_trial, analytic.get,
+                    box_length=cfg.box_length), {}
 
 
 def _run_thermo(cfg: ExperimentConfig):
@@ -230,9 +231,7 @@ def _run_thermo(cfg: ExperimentConfig):
         return lambda box: finite(_trial_partition(cfg, box, trial), cfg.beta, fixed)
 
     rows = _mc_rows(cfg, "box_length", cfg.l_ladder or [cfg.box_length], per_trial,
-                    lambda _: analytic_value)
-    for row in rows:
-        row["observable"] = observable
+                    lambda _: analytic_value, observable=observable)
     meta = {"critical_density": critical_density(params, cfg.beta)}
     return rows, meta
 
@@ -253,15 +252,12 @@ def _run_correlate(cfg: ExperimentConfig):
         mu = cfg.mu if cfg.mu is not None else solve_mu_finite(table, cfg.beta, cfg.rho)
         return lambda r: kernel_finite(table, cfg.beta, mu, r)
 
-    rows = _mc_rows(cfg, "separation", cfg.r_grid, per_trial, analytic.get)
-    for row in rows:
-        row["box_length"] = cfg.box_length
-    return rows, {}
+    return _mc_rows(cfg, "separation", cfg.r_grid, per_trial, analytic.get,
+                    box_length=cfg.box_length), {}
 
 
 def _run_hierarchy(cfg: ExperimentConfig):
     rho_c = hierarchical_critical_density(cfg.intensity, cfg.beta)
-    threshold = 0.01 * max(cfg.rho - rho_c, 1e-300)
     rows = []
     profiles = []
     for box in cfg.l_ladder:
@@ -276,7 +272,7 @@ def _run_hierarchy(cfg: ExperimentConfig):
             "mu_solved": profile.mu_used,
             "total_density": profile.total_density(),
             "max_state_density": float(max(profile.large.max(), profile.small.max())),
-            "macro_states": profile.macroscopic_count(threshold),
+            "macro_states": profile.macroscopic_count(profile.macroscopic_threshold),
             "analytic": rho_c,
             "status": "ok",
         })

@@ -230,6 +230,12 @@ class OccupationProfile:
     def total_density(self) -> float:
         return _weighted_sum(self.large, self.large_count, self.small, self.small_count)
 
+    @property
+    def macroscopic_threshold(self) -> float:
+        """Per-state density that makes a state macroscopic: 1% of rho - rho_c,
+        floored so that a gas at or below rho_c keeps a positive bar."""
+        return 0.01 * max(self.rho - self.rho_c, 1e-300)
+
     def macroscopic_count(self, threshold: float) -> int:
         """States with density above threshold: each large interval's count
         separately, the identical small intervals once as one bulk."""
@@ -290,7 +296,7 @@ def classify_condensate(profiles: list[OccupationProfile]) -> ClassificationResu
     rho0 = rho0s[-1]
     if rho0 <= 0:
         return ClassificationResult(CondensateType.NONE, {"rho0": rho0})
-    threshold = 0.01 * rho0
+    threshold = profiles[-1].macroscopic_threshold
 
     def census(profile: OccupationProfile):
         large = profile.large[profile.large > threshold]

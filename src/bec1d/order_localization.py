@@ -18,36 +18,22 @@ from scipy.integrate import quad
 
 from .errors import _require_positive
 from .numerics import _log1mexp
-from .poisson_geometry import IntervalPartition, poisson_lengths
+from .poisson_geometry import IntervalPartition, poisson_lengths, sample_poisson_partition
 from .rng import trial_rng
 from .spectrum import C, C_SQUARED
 from .thermodynamics import _window_occupations
 
 
-@dataclass(frozen=True)
-class SpacingQuery:
-    """Monte Carlo setup for the ground-state spacing probability."""
-
-    sample_size: int
-    amplitude: float
-    exponent: float
-    intensity: float
-    trials: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sample_size < 2:
-            raise ValueError(f"sample_size must be >= 2, got {self.sample_size}")
-        _require_positive("amplitude", self.amplitude)
-        if not (0.0 < self.exponent < 1.0):
-            raise ValueError(f"exponent must lie in (0, 1), got {self.exponent}")
-        _require_positive("intensity", self.intensity)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-
-    @property
-    def threshold(self) -> float:
-        return self.amplitude / self.sample_size ** (1.0 - self.exponent)
+def _spacing_threshold(sample_size: int, amplitude: float, exponent: float,
+                       intensity: float) -> float:
+    """Energy threshold amplitude / sample_size^(1 - exponent) of the spacing event."""
+    if sample_size < 2:
+        raise ValueError(f"sample_size must be >= 2, got {sample_size}")
+    _require_positive("amplitude", amplitude)
+    if not (0.0 < exponent <= 1.0):
+        raise ValueError(f"exponent must lie in (0, 1], got {exponent}")
+    _require_positive("intensity", intensity)
+    return amplitude / sample_size ** (1.0 - exponent)
 
 
 @dataclass(frozen=True)
@@ -59,7 +45,10 @@ class SpacingEstimate:
     trials: int
 
 
-def spacing_probability_mc(query: SpacingQuery) -> SpacingEstimate:
+def spacing_probability_mc(
+    sample_size: int, amplitude: float, exponent: float, intensity: float, trials: int,
+    seed: int = 0,
+) -> SpacingEstimate:
     """Frequency of {ground-energy gap of the two largest intervals > threshold}.
 
     Each trial draws sample_size independent exponential lengths, orders them,
@@ -67,22 +56,24 @@ def spacing_probability_mc(query: SpacingQuery) -> SpacingEstimate:
     amplitude / sample_size^(1 - exponent). Trials are chunked but their
     count, not the chunking, determines the estimate.
     """
-    k = query.sample_size
-    threshold = query.threshold
-    rng = trial_rng(query.seed, 0)
+    threshold = _spacing_threshold(sample_size, amplitude, exponent, intensity)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    k = sample_size
+    rng = trial_rng(seed, 0)
     hits = 0
     done = 0
     chunk = max(1, int(5_000_000 // k))
-    while done < query.trials:
-        m = min(chunk, query.trials - done)
-        draws = rng.exponential(1.0 / query.intensity, size=(m, k))
+    while done < trials:
+        m = min(chunk, trials - done)
+        draws = rng.exponential(1.0 / intensity, size=(m, k))
         top_two = np.partition(draws, k - 2, axis=1)[:, -2:]
         second, largest = top_two[:, 0], top_two[:, 1]
         gap = C_SQUARED / second**2 - C_SQUARED / largest**2
         hits += int(np.count_nonzero(gap > threshold))
         done += m
-    p = hits / query.trials
-    return SpacingEstimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / query.trials), query.trials)
+    p = hits / trials
+    return SpacingEstimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / trials), trials)
 
 
 def spacing_probability_exact(
@@ -102,15 +93,9 @@ def spacing_probability_exact(
     sample sizes far beyond Monte Carlo reach, so it doubles as the oracle for
     the k -> infinity limit.
     """
-    if sample_size < 2:
-        raise ValueError("sample_size must be >= 2")
-    _require_positive("amplitude", amplitude)
-    _require_positive("intensity", intensity)
-    if not (0.0 < exponent <= 1.0):
-        raise ValueError(f"exponent must lie in (0, 1], got {exponent}")
+    threshold = _spacing_threshold(sample_size, amplitude, exponent, intensity)
     k = sample_size
     lam = intensity
-    threshold = amplitude / k ** (1.0 - exponent)
     y_max = C / math.sqrt(threshold)
     log_prefactor = math.log(k) + math.log(k - 1) + math.log(lam)
 
@@ -184,6 +169,6 @@ def ground_state_occupation_fraction(
     epsilon: float = 0.01,
 ) -> list[GroundStateShare]:
     """Per-seed ground-state shares over Poisson partitions at fixed density."""
-    draws = (poisson_lengths(intensity, total_length, trial_rng(seed, 0)) for seed in seeds)
-    return [ground_state_share(IntervalPartition(lengths, total_length), beta, rho, epsilon)
-            for lengths in draws]
+    partitions = (sample_poisson_partition(intensity, total_length, trial_rng(seed, 0))
+                  for seed in seeds)
+    return [ground_state_share(part, beta, rho, epsilon) for part in partitions]

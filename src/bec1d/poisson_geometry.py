@@ -11,6 +11,7 @@ lengths consists of k independent Exponential(lambda) variables.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,17 +73,6 @@ class IntervalPartition:
         return self.lengths.size - 1
 
 
-@dataclass(frozen=True)
-class PoissonParams:
-    """Impurity intensity (points per unit length) and base seed."""
-
-    intensity: float
-    seed: int = 0
-
-    def __post_init__(self):
-        _require_positive("intensity", self.intensity)
-
-
 def _uniform_gaps(count: int, total_length: float, rng: np.random.Generator) -> np.ndarray:
     """total_length times the count + 1 gaps of count uniform points on the unit interval.
 
@@ -111,7 +101,7 @@ def sample_uniform_partition(total_length: float, n_intervals: int, seed) -> Int
 
 
 def poisson_lengths(intensity: float, total_length: float, rng: np.random.Generator) -> np.ndarray:
-    """Interval lengths of one Poisson impurity configuration (internal driver path)."""
+    """Interval lengths of one Poisson impurity configuration, drawn from rng."""
     _require_positive("intensity", intensity)
     _require_positive("total_length", total_length, DomainError)  # L = 0 would redraw forever
     mean_count = intensity * total_length
@@ -120,9 +110,9 @@ def poisson_lengths(intensity: float, total_length: float, rng: np.random.Genera
     return _uniform_gaps(int(rng.poisson(mean_count)), total_length, rng)
 
 
-def sample_poisson_partition(total_length: float, params: PoissonParams) -> IntervalPartition:
+def sample_poisson_partition(intensity: float, total_length: float, seed) -> IntervalPartition:
     """Poisson(intensity * L) impurities, uniformly placed; zero count gives one interval."""
-    lengths = poisson_lengths(params.intensity, total_length, as_generator(params.seed))
+    lengths = poisson_lengths(intensity, total_length, as_generator(seed))
     return IntervalPartition(lengths, total_length)
 
 
@@ -206,18 +196,13 @@ def log_moment(power: int, degree: int) -> float:
     return _log_moment_table()[power][degree]
 
 
+@functools.cache
 def _log_moment_table():
-    global _LOG_MOMENT_CACHE
-    if _LOG_MOMENT_CACHE is None:
-        t_max = LOG_MOMENT_MAX_DEGREE
-        table = [[0.0] * (t_max + 1) for _ in range(LOG_MOMENT_MAX_POWER + 1)]
-        table[0] = [float(math.factorial(t)) for t in range(t_max + 1)]
-        for s in range(1, LOG_MOMENT_MAX_POWER + 1):
-            table[s][0] = _GAMMA_DERIVATIVES_AT_ONE[s]
-            for t in range(1, t_max + 1):
-                table[s][t] = t * table[s][t - 1] + s * table[s - 1][t - 1]
-        _LOG_MOMENT_CACHE = table
-    return _LOG_MOMENT_CACHE
-
-
-_LOG_MOMENT_CACHE = None
+    t_max = LOG_MOMENT_MAX_DEGREE
+    table = [[0.0] * (t_max + 1) for _ in range(LOG_MOMENT_MAX_POWER + 1)]
+    table[0] = [float(math.factorial(t)) for t in range(t_max + 1)]
+    for s in range(1, LOG_MOMENT_MAX_POWER + 1):
+        table[s][0] = _GAMMA_DERIVATIVES_AT_ONE[s]
+        for t in range(1, t_max + 1):
+            table[s][t] = t * table[s][t - 1] + s * table[s - 1][t - 1]
+    return table

@@ -21,7 +21,6 @@ from bec1d import (
     CondensateType,
     IntervalPartition,
     ModelParams,
-    SpacingQuery,
     build_layout,
     classify_condensate,
     condensate_finite,
@@ -430,10 +429,8 @@ class TestCriterion11:
         # k = 1e4; the bound is asserted on the quadrature at k = 1e12
         # (0.99796), where the Monte Carlo, which draws k lengths per trial,
         # cannot run.
-        est = spacing_probability_mc(
-            SpacingQuery(10_000, amplitude=1.0, exponent=0.5, intensity=1.0,
-                         trials=10_000, seed=7)
-        )
+        est = spacing_probability_mc(10_000, amplitude=1.0, exponent=0.5, intensity=1.0,
+                                     trials=10_000, seed=7)
         anchor = spacing_probability_exact(10_000, 1.0, 0.5, 1.0)
         limit = spacing_probability_exact(10**12, 1.0, 0.5, 1.0)
         ok = abs(est.probability - anchor) <= 4.0 * est.std_error and limit >= 0.99
@@ -445,10 +442,8 @@ class TestCriterion11:
         )
 
     def test_level_repulsion_limit_demonstration(self):
-        est = spacing_probability_mc(
-            SpacingQuery(10_000, amplitude=1.0, exponent=0.5, intensity=1.0,
-                         trials=10_000, seed=7)
-        )
+        est = spacing_probability_mc(10_000, amplitude=1.0, exponent=0.5, intensity=1.0,
+                                     trials=10_000, seed=7)
         exact = spacing_probability_exact(10_000, 1.0, 0.5, 1.0)
         agree = abs(est.probability - exact) <= 4.0 * est.std_error
         climb = [spacing_probability_exact(k, 1.0, 0.5, 1.0) for k in (10**4, 10**8, 10**12)]

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import bec1d
-from bec1d import ModelParams, build_layout, sample_poisson_partition, PoissonParams
+from bec1d import ModelParams, build_layout, sample_poisson_partition
 from bec1d import correlations as corr
 from bec1d import hierarchical as hier
 from bec1d import order_localization as loc
@@ -27,7 +27,7 @@ from bec1d.errors import DomainError
 
 P = ModelParams(1.0)
 LAYOUT = build_layout("type1", 1e4, 1.0)
-PART = sample_poisson_partition(50.0, PoissonParams(1.0, seed=3))
+PART = sample_poisson_partition(1.0, 50.0, 3)
 
 # "function argument": a call with that argument set, the others valid
 CASES = {
@@ -57,10 +57,10 @@ CASES = {
     "gap_variance intensity": lambda v: geo.gap_variance(v),
     "spacing_probability_exact amplitude": lambda v: loc.spacing_probability_exact(5, v, 0.5, 1.0),
     "spacing_probability_exact intensity": lambda v: loc.spacing_probability_exact(5, 1.0, 0.5, v),
-    "SpacingQuery amplitude": lambda v: loc.SpacingQuery(5, v, 0.5, 1.0, 10),
-    "SpacingQuery intensity": lambda v: loc.SpacingQuery(5, 1.0, 0.5, v, 10),
+    "spacing_probability_mc amplitude": lambda v: loc.spacing_probability_mc(5, v, 0.5, 1.0, 10),
+    "spacing_probability_mc intensity": lambda v: loc.spacing_probability_mc(5, 1.0, 0.5, v, 10),
     "ModelParams intensity": lambda v: ModelParams(v),
-    "PoissonParams intensity": lambda v: PoissonParams(v),
+    "sample_poisson_partition intensity": lambda v: geo.sample_poisson_partition(v, 10.0, 0),
     "IntervalPartition total_length": lambda v: geo.IntervalPartition([1.0], v),
     "sample_uniform_partition total_length": lambda v: geo.sample_uniform_partition(v, 3, 0),
     "poisson_lengths intensity": lambda v: geo.poisson_lengths(v, 10.0, np.random.default_rng(0)),
@@ -166,6 +166,14 @@ def test_only_errors_states_the_domain_rule():
                 for text in ("must be positive", "must lie below"))
     ]
     assert offenders == []
+
+
+def test_only_poisson_geometry_builds_a_partition():
+    # one realization constructor: every other module draws through sample_poisson_partition
+    package = pathlib.Path(bec1d.__file__).parent
+    builders = [path.name for path in sorted(package.glob("*.py"))
+                if "IntervalPartition(" in path.read_text(encoding="utf-8")]
+    assert builders == ["poisson_geometry.py"]
 
 
 def test_cli_imports_no_private_name_but_the_guards():

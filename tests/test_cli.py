@@ -130,7 +130,7 @@ class TestValidation:
         def no_partition(*args):
             raise AssertionError("a partition was drawn")
 
-        monkeypatch.setattr(cli, "poisson_lengths", no_partition)
+        monkeypatch.setattr(cli, "sample_poisson_partition", no_partition)
         out = tmp_path / "x.csv"
         assert run_cli([*argv, "--seeds", "2", "--out", str(out)]) == 2
         assert not out.exists()

@@ -10,7 +10,6 @@ from bec1d import (
     ConvergenceError,
     DomainError,
     ModelParams,
-    PoissonParams,
     condensate_density,
     critical_density,
     decay_rate_fit,
@@ -43,7 +42,7 @@ class TestKernelFinite:
     @pytest.mark.parametrize("box, beta", [(400.0, 1.0), (2000.0, 0.5), (6e4, 0.25)])
     def test_coincident_points_reproduce_density(self, box, beta):
         # every weight is exactly 1 at r = 0, so the value is density_finite's bit for bit
-        table = level_table(sample_poisson_partition(box, PoissonParams(1.0, seed=21)), beta)
+        table = level_table(sample_poisson_partition(1.0, box, 21), beta)
         for gap in (1e-3, 0.1, 2.0):
             mu = table.ground_energy - gap / beta
             assert kernel_finite(table, beta, mu, 0.0) == density_finite(table, beta, mu)
@@ -92,7 +91,7 @@ class TestKernelLimit:
         for r, tol in [(1.0, 0.02), (2.0, 0.03)]:
             vals = [
                 kernel_finite(
-                    sample_poisson_partition(box, PoissonParams(lam, seed=(31, t))), beta, mu, r
+                    sample_poisson_partition(lam, box, (31, t)), beta, mu, r
                 )
                 for t in range(60)
             ]

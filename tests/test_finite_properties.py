@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from bec1d import (
     C,
-    PoissonParams,
     density_finite,
     kernel_finite,
     level_table,
@@ -61,7 +60,7 @@ def box(intensity: float, beta: float, seed: int):
     cutoff = (C * intensity) ** 2 + TAIL_EXPONENT / beta
     per_length = math.sqrt(cutoff) / C + 2.0 * intensity
     length = min(2000.0, 1e5 / per_length)
-    return sample_poisson_partition(length, PoissonParams(intensity, seed))
+    return sample_poisson_partition(intensity, length, seed)
 
 
 def gap_below_ground(beta: float, ground: float, fraction: float, smallest: float) -> float:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bec1d import (
-    SpacingQuery,
     condensate_finite,
     critical_density,
     ground_state_occupation_fraction,
@@ -25,9 +24,8 @@ RHO_C = critical_density(ModelParams(1.0), 1.0)
 class TestSpacingProbability:
     @pytest.mark.parametrize("k", [3, 10])
     def test_mc_matches_exact_quadrature(self, k):
-        query = SpacingQuery(k, amplitude=1.0, exponent=0.5, intensity=1.0,
-                             trials=200_000, seed=17)
-        est = spacing_probability_mc(query)
+        est = spacing_probability_mc(k, amplitude=1.0, exponent=0.5, intensity=1.0,
+                                     trials=200_000, seed=17)
         exact = spacing_probability_exact(k, 1.0, 0.5, 1.0)
         assert est.probability == pytest.approx(exact, abs=4 * est.std_error)
 
@@ -35,25 +33,33 @@ class TestSpacingProbability:
         exact = [spacing_probability_exact(50, a, 0.5, 1.0) for a in (0.25, 1.0, 4.0)]
         assert exact[0] > exact[1] > exact[2]
         estimates = [
-            spacing_probability_mc(
-                SpacingQuery(50, a, 0.5, 1.0, trials=100_000, seed=23)
-            ).probability
+            spacing_probability_mc(50, a, 0.5, 1.0, trials=100_000, seed=23).probability
             for a in (0.25, 1.0, 4.0)
         ]
         assert estimates[0] >= estimates[1] - 0.005 >= estimates[2] - 0.01
 
     def test_huge_threshold_kills_the_event(self):
-        query = SpacingQuery(100, amplitude=1e8, exponent=0.5, intensity=1.0,
-                             trials=10_000, seed=3)
-        assert spacing_probability_mc(query).probability == 0.0
+        est = spacing_probability_mc(100, amplitude=1e8, exponent=0.5, intensity=1.0,
+                                     trials=10_000, seed=3)
+        assert est.probability == 0.0
 
     def test_near_unit_exponent_against_quadrature(self):
         # exponent -> 1 keeps the threshold k-independent
-        query = SpacingQuery(5, amplitude=0.05, exponent=0.999, intensity=1.0,
-                             trials=200_000, seed=29)
-        est = spacing_probability_mc(query)
+        est = spacing_probability_mc(5, amplitude=0.05, exponent=0.999, intensity=1.0,
+                                     trials=200_000, seed=29)
         exact = spacing_probability_exact(5, 0.05, 0.999, 1.0)
         assert est.probability == pytest.approx(exact, abs=4 * est.std_error)
+
+    def test_unit_exponent_against_quadrature(self):
+        # both routes share one exponent domain, (0, 1]
+        est = spacing_probability_mc(5, amplitude=0.05, exponent=1.0, intensity=1.0,
+                                     trials=200_000, seed=31)
+        exact = spacing_probability_exact(5, 0.05, 1.0, 1.0)
+        assert est.probability == pytest.approx(exact, abs=4 * est.std_error)
+
+    def test_seeded_estimate_is_pinned(self):
+        est = spacing_probability_mc(3, 1.0, 0.5, 1.0, 20000, seed=17)
+        assert (est.probability, est.std_error) == (0.90935, 0.002030179517924462)
 
     def test_limit_probability_tends_to_one(self):
         # the repulsion probability climbs to 1, but only on logarithmic scales
@@ -79,11 +85,11 @@ class TestSpacingProbability:
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
-            SpacingQuery(1, 1.0, 0.5, 1.0, 10)
+            spacing_probability_mc(1, 1.0, 0.5, 1.0, 10)
         with pytest.raises(ValueError):
-            SpacingQuery(10, 1.0, 1.5, 1.0, 10)
+            spacing_probability_mc(10, 1.0, 1.5, 1.0, 10)
         with pytest.raises(ValueError):
-            SpacingQuery(10, -1.0, 0.5, 1.0, 10)
+            spacing_probability_mc(10, -1.0, 0.5, 1.0, 10)
 
 
 class TestLargestIntervalScaling:

@@ -11,7 +11,6 @@ from scipy.integrate import quad
 from bec1d import (
     EULER_GAMMA,
     IntervalPartition,
-    PoissonParams,
     expected_largest,
     expected_second_largest,
     gap_exceedance_probability,
@@ -43,7 +42,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_partition_invariants(self, seed):
-        part = sample_poisson_partition(500.0, PoissonParams(1.0, seed=seed))
+        part = sample_poisson_partition(1.0, 500.0, seed)
         assert np.all(part.lengths > 0)
         assert part.lengths.size == part.impurity_count + 1
         assert abs(part.lengths.sum() - 500.0) <= 1e-12 * 500.0
@@ -85,7 +84,7 @@ class TestSampling:
 
     def test_poisson_count_mean(self):
         counts = [
-            sample_poisson_partition(100.0, PoissonParams(1.0, seed=(11, t))).impurity_count
+            sample_poisson_partition(1.0, 100.0, (11, t)).impurity_count
             for t in range(10_000)
         ]
         counts = np.asarray(counts, dtype=float)
@@ -96,7 +95,7 @@ class TestSampling:
     def test_zero_impurity_probability(self):
         lam = 0.05
         hits = sum(
-            sample_poisson_partition(1.0, PoissonParams(lam, seed=(3, t))).n_intervals == 1
+            sample_poisson_partition(lam, 1.0, (3, t)).n_intervals == 1
             for t in range(10_000)
         )
         p = hits / 10_000
@@ -109,7 +108,7 @@ class TestSampling:
         kept = 0
         t = 0
         while kept < samples.size:
-            part = sample_poisson_partition(box, PoissonParams(lam, seed=(77, t)))
+            part = sample_poisson_partition(lam, box, (77, t))
             t += 1
             if part.n_intervals < 3:
                 continue
@@ -124,11 +123,11 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_uniform_partition(1.0, 0, seed=0)
         with pytest.raises(ValueError):
-            sample_poisson_partition(-1.0, PoissonParams(1.0))
+            sample_poisson_partition(1.0, -1.0, 0)
         with pytest.raises(ValueError):
-            PoissonParams(0.0)
+            sample_poisson_partition(0.0, 100.0, 0)
         with pytest.raises(ValueError):
-            sample_poisson_partition(1e30, PoissonParams(1e40))
+            sample_poisson_partition(1e40, 1e30, 0)
 
     def test_partition_validation(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from bec1d import (
     C,
     ConvergenceError,
     ModelParams,
-    PoissonParams,
     build_layout,
     critical_density,
     density_finite,
@@ -53,7 +52,7 @@ class TestFiniteSolver:
     @pytest.mark.parametrize("fraction", [0.3, 0.9, 3.0])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_matches_bisection_with_sign_certificate(self, beta, fraction, seed, table_passes):
-        part = sample_poisson_partition(1000.0, PoissonParams(1.0, seed))
+        part = sample_poisson_partition(1.0, 1000.0, seed)
         rho = fraction * critical_density(PARAMS, beta)
         table_passes["n"] = 0
         mu = solve_mu_finite(part, beta, rho)

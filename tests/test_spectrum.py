@@ -17,7 +17,6 @@ from bec1d import (
     DomainError,
     LevelTable,
     ModelParams,
-    PoissonParams,
     build_level_table,
     counting_function,
     dirichlet_eigenfunction,
@@ -110,7 +109,7 @@ class TestCountingFunction:
         assert counting_function(part, C_SQUARED) == pytest.approx(0.8, rel=1e-15)
 
     def test_monotone_step_function(self):
-        part = sample_poisson_partition(200.0, PoissonParams(1.0, seed=5))
+        part = sample_poisson_partition(1.0, 200.0, 5)
         grid = np.linspace(0.01, 8.0, 300)
         vals = [counting_function(part, e) for e in grid]
         assert all(b >= a for a, b in zip(vals[:-1], vals[1:]))

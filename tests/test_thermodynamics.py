@@ -11,7 +11,6 @@ from bec1d import (
     CondensateReport,
     DomainError,
     ModelParams,
-    PoissonParams,
     condensate_density,
     condensate_finite,
     critical_density,
@@ -76,7 +75,7 @@ class TestFiniteVolume:
 
 
 class TestLevelTable:
-    PART = sample_poisson_partition(300.0, PoissonParams(1.0, seed=13))
+    PART = sample_poisson_partition(1.0, 300.0, 13)
 
     def test_a_covering_table_is_returned_unchanged(self):
         table = level_table(self.PART, 1.0, 0.5)
@@ -159,7 +158,7 @@ class TestLimits:
     def test_density_disorder_average(self):
         lam, beta, mu, box = 1.0, 1.0, -0.5, 5000.0
         vals = [
-            density_finite(sample_poisson_partition(box, PoissonParams(lam, seed=(41, t))), beta, mu)
+            density_finite(sample_poisson_partition(lam, box, (41, t)), beta, mu)
             for t in range(40)
         ]
         assert np.mean(vals) == pytest.approx(density_limit(PARAMS, beta, mu), rel=0.02)
@@ -167,7 +166,7 @@ class TestLimits:
     def test_pressure_disorder_average(self):
         lam, beta, mu, box = 1.0, 1.0, -0.5, 5000.0
         vals = [
-            pressure_finite(sample_poisson_partition(box, PoissonParams(lam, seed=(43, t))), beta, mu)
+            pressure_finite(sample_poisson_partition(lam, box, (43, t)), beta, mu)
             for t in range(40)
         ]
         assert np.mean(vals) == pytest.approx(pressure_limit(PARAMS, beta, mu), rel=0.02)
@@ -186,7 +185,7 @@ class TestLimits:
         for box in (500.0, 2000.0, 8000.0):
             vals = [
                 density_finite(
-                    sample_poisson_partition(box, PoissonParams(lam, seed=(55, int(box), t))),
+                    sample_poisson_partition(lam, box, (55, int(box), t)),
                     beta,
                     mu,
                 )
@@ -271,7 +270,7 @@ class TestIntegrationRange:
 
 class TestMuSolvers:
     def test_finite_round_trip(self):
-        part = sample_poisson_partition(800.0, PoissonParams(1.0, seed=8))
+        part = sample_poisson_partition(1.0, 800.0, 8)
         for rho in (0.05, 0.2, 0.6):
             mu = solve_mu_finite(part, 1.0, rho)
             assert density_finite(part, 1.0, mu) == pytest.approx(rho, rel=1e-10)
@@ -335,7 +334,7 @@ class TestMuSolvers:
         mu_star = solve_mu_limit(PARAMS, beta, rho)
         mus = [
             solve_mu_finite(
-                sample_poisson_partition(2000.0, PoissonParams(lam, seed=(71, t))), beta, rho
+                sample_poisson_partition(lam, 2000.0, (71, t)), beta, rho
             )
             for t in range(50)
         ]
@@ -374,7 +373,7 @@ class TestCondensate:
         assert condensate_finite(part, 1.0, 0.5, epsilon=0.5 * ground) == 0.0
 
     def test_window_covering_everything_recovers_rho(self):
-        part = sample_poisson_partition(300.0, PoissonParams(1.0, seed=13))
+        part = sample_poisson_partition(1.0, 300.0, 13)
         rho = 0.4
         assert condensate_finite(part, 1.0, rho, epsilon=1e9) == pytest.approx(rho, rel=2e-9)
 

@@ -11,7 +11,6 @@ import pytest
 
 from bec1d import (
     C,
-    PoissonParams,
     density_finite,
     hierarchical_critical_density,
     kernel_finite,
@@ -66,7 +65,7 @@ class TestBoseOccupations:
 
 
 class TestFiniteKernelsBitIdentical:
-    PART = sample_poisson_partition(2000.0, PoissonParams(1.0, seed=5))
+    PART = sample_poisson_partition(1.0, 2000.0, 5)
 
     @pytest.mark.parametrize("beta", [0.25, 1.0])
     def test_table_and_observables_equal_the_allocating_expressions(self, beta):
@@ -107,7 +106,7 @@ class TestNoTableSizedTemporaries:
 
     def test_one_finite_mu_newton_step(self):
         beta = 0.25
-        table = level_table(sample_poisson_partition(6e4, PoissonParams(1.0, seed=3)), beta)
+        table = level_table(sample_poisson_partition(1.0, 6e4, 3), beta)
         assert table.energies.size >= 200_000
         low = np.count_nonzero(beta * (table.energies - table.ground_energy)
                                < thermodynamics._SPLIT_EXPONENT)
