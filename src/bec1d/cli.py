@@ -180,10 +180,8 @@ def _sweep(cfg, grid, per_trial):
 
 
 def _mc_rows(cfg, grid_name, grid, per_trial, analytic_for, **columns):
-    """Mean and std of the swept per-trial values, one row per grid point.
-
-    `columns` are the sweep's constant columns, written after the status.
-    """
+    """Mean and std of the swept per-trial values, one row per grid point; the
+    sweep's constant `columns` follow the status."""
     samples, failures = _sweep(cfg, grid, per_trial)
     rows = []
     for g in grid:
