@@ -1,10 +1,12 @@
 """Reproducible experiment driver.
 
-Each command sweeps a grid, runs seeded disorder trials, and writes one row
-per grid point with the Monte Carlo mean and std next to the closed-form
-value where one exists. Results are byte-identical across reruns with the
-same configuration and base seed; wall time and timestamps live only in the
-metadata sidecar written next to the result file.
+Each command sweeps a grid and writes one row per grid point with the Monte
+Carlo mean and std next to the closed-form value where one exists. The
+disorder sweeps run their seeded trials through one loop, `_mc_rows`, which
+alone isolates a trial's failure and builds the rows; trial t of every command
+draws from the stream keyed (base_seed, t). Results are byte-identical across
+reruns with the same configuration and base seed; wall time and timestamps
+live only in the metadata sidecar written next to the result file.
 
 Exit codes: 0 success, 2 usage error, 3 numeric failure in an analytic
 column, 4 I/O failure. A trial's DomainError or ConvergenceError never aborts a
@@ -30,6 +32,7 @@ from .poisson_geometry import (
     expected_second_largest,
     gap_exceedance_probability,
     gap_variance,
+    sample_ordered_lengths,
     sample_poisson_partition,
 )
 from .rng import trial_rng
@@ -117,6 +120,8 @@ class ExperimentConfig:
                 raise UsageError("correlate needs a non-empty --r-grid")
             if (self.mu is None) == (self.rho is None):
                 raise UsageError("correlate needs exactly one of --mu / --rho")
+            if self.mu is not None:
+                _require_below("--mu", self.mu, 0.0, inclusive=True, error=UsageError)
         if self.command == "thermo" and (self.mu is None) == (self.rho is None):
             raise UsageError("thermo needs exactly one of --mu / --rho")
         if self.command == "hierarchy":
@@ -153,12 +158,19 @@ def _trial_partition(cfg: ExperimentConfig, box_length: float, trial: int) -> In
     return sample_poisson_partition(cfg.intensity, box_length, trial_rng(cfg.base_seed, trial))
 
 
-def _sweep(cfg, grid, per_trial):
-    """Shared trial loop: per-trial values and failure counts per grid point.
+def _mean_std(values) -> dict:
+    vals = np.asarray(values)
+    return {"mc_mean": float(vals.mean()) if vals.size else float("nan"),
+            "mc_std": float(vals.std(ddof=1)) if vals.size > 1 else 0.0}
+
+
+def _mc_rows(cfg, grid_name, grid, per_trial, analytic_for, summarize=_mean_std, **columns):
+    """The one trial loop: one row per grid point from the seeded trials.
 
     per_trial(trial) returns a function of the grid point. A trial's setup
     failure loses the trial at every grid point; a failure at one grid point
-    loses it there only. The sweep continues either way.
+    loses it there only. The sweep continues either way. `summarize` turns the
+    values into the columns from mc_mean on; the constant `columns` follow status.
     """
     samples = {g: [] for g in grid}
     failures = {g: 0 for g in grid}
@@ -171,32 +183,20 @@ def _sweep(cfg, grid, per_trial):
             continue
         for g in grid:
             try:
-                value = produced(g)
+                samples[g].append(produced(g))
             except _TRIAL_ERRORS:
                 failures[g] += 1
-                continue
-            samples[g].append(value)
-    return samples, failures
-
-
-def _mc_rows(cfg, grid_name, grid, per_trial, analytic_for, **columns):
-    """Mean and std of the swept per-trial values, one row per grid point; the
-    sweep's constant `columns` follow the status."""
-    samples, failures = _sweep(cfg, grid, per_trial)
     rows = []
     for g in grid:
-        vals = np.asarray(samples[g])
+        summary = summarize(samples[g])
         analytic = analytic_for(g)
-        mean = float(vals.mean()) if vals.size else float("nan")
-        std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
         rows.append({
             grid_name: g,
             "trials": cfg.seeds,
             "failed_trials": failures[g],
-            "mc_mean": mean,
-            "mc_std": std,
+            **summary,
             "analytic": analytic,
-            "rel_deviation": _rel_dev(mean, analytic),
+            "rel_deviation": _rel_dev(summary["mc_mean"], analytic),
             "status": "ok" if failures[g] == 0 else "trial_failures",
             **columns,
         })
@@ -238,7 +238,6 @@ def _run_correlate(cfg: ExperimentConfig):
     # one limit state per sweep, one level table and one mu per trial
     params = ModelParams(cfg.intensity)
     if cfg.mu is not None:
-        _require_below("--mu", cfg.mu, 0.0, inclusive=True, error=UsageError)
         rho_0, mu_limit = 0.0, cfg.mu
     else:
         report = condensate_density(params, cfg.beta, cfg.rho)
@@ -289,10 +288,8 @@ def _run_orderstats(cfg: ExperimentConfig):
     delta = cfg.delta if cfg.delta is not None else 1.0 / lam
     largest = np.empty(cfg.seeds)
     second = np.empty(cfg.seeds)
-    for trial in range(cfg.seeds):
-        draws = trial_rng(cfg.base_seed, trial).exponential(1.0 / lam, size=k)
-        top = np.partition(draws, k - 2)[-2:]
-        second[trial], largest[trial] = top[0], top[1]
+    for t in range(cfg.seeds):
+        largest[t], second[t] = sample_ordered_lengths(lam, k, trial_rng(cfg.base_seed, t))[:2]
     gap = largest - second
     stats = [
         ("mean_largest", largest.mean(), largest.std(ddof=1), expected_largest(lam, k)),
@@ -317,32 +314,22 @@ def _run_orderstats(cfg: ExperimentConfig):
     return rows, {"delta": delta}
 
 
-def _run_localize(cfg: ExperimentConfig):
-    ladder = cfg.l_ladder or [cfg.box_length]
+def _share_summary(shares) -> dict:
+    """Ground-state shares over the trials whose window holds a level."""
+    fractions = [s.fraction for s in shares if s.window_levels > 0]
+    return {"empty_windows": sum(s.window_levels == 0 for s in shares),
+            "ties": sum(int(s.tie) for s in shares),
+            **_mean_std(fractions),
+            "median_fraction": float(np.median(fractions)) if fractions else float("nan")}
 
+
+def _run_localize(cfg: ExperimentConfig):
     def per_trial(trial):
         return lambda box: ground_state_share(_trial_partition(cfg, box, trial), cfg.beta,
                                               cfg.rho, cfg.epsilon)
 
-    samples, failures = _sweep(cfg, ladder, per_trial)
-    rows = []
-    for box in ladder:
-        shares = samples[box]
-        vals = np.asarray([s.fraction for s in shares if s.window_levels > 0])
-        rows.append({
-            "box_length": box,
-            "trials": cfg.seeds,
-            "failed_trials": failures[box],
-            "empty_windows": sum(s.window_levels == 0 for s in shares),
-            "ties": sum(int(s.tie) for s in shares),
-            "mc_mean": float(vals.mean()) if vals.size else float("nan"),
-            "mc_std": float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
-            "median_fraction": float(np.median(vals)) if vals.size else float("nan"),
-            "analytic": None,
-            "rel_deviation": None,
-            "status": "ok" if failures[box] == 0 else "trial_failures",
-        })
-    return rows, {"epsilon": cfg.epsilon}
+    return _mc_rows(cfg, "box_length", cfg.l_ladder or [cfg.box_length], per_trial,
+                    lambda _: None, _share_summary), {"epsilon": cfg.epsilon}
 
 
 _RUNNERS = {
@@ -376,13 +363,9 @@ def _write_json(path: str, rows: list[dict]):
 
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit code."""
-    try:
-        config.validate()
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
     start = time.perf_counter()
     try:
+        config.validate()
         rows, extra_meta = _RUNNERS[config.command](config)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
@@ -448,6 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _has_field_type(kind: str, value) -> bool:
+    """Whether a config-file value is what a flag of annotation `kind` parses to; no bool is."""
+    if kind == "list[float]":
+        return isinstance(value, list) and all(_has_field_type("float", v) for v in value)
+    types = {"int": int, "float": (int, float), "float | None": (int, float, type(None))}
+    return isinstance(value, types.get(kind, str)) and not isinstance(value, bool)
+
+
 def build_config(argv: list[str]) -> ExperimentConfig:
     args = _PARSER.parse_args(argv)
     settings: dict = {}
@@ -468,6 +459,10 @@ def build_config(argv: list[str]) -> ExperimentConfig:
     unknown = set(settings) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in settings.items():
+        kind = ExperimentConfig.__dataclass_fields__[key].type  # the annotation, as a string
+        if not _has_field_type(kind, value):
+            raise UsageError(f"config value {key} = {value!r} is not of type {kind}")
     return ExperimentConfig(**settings)
 
 

@@ -37,6 +37,10 @@ _GAMMA_DERIVATIVES_AT_ONE = (
     EULER_GAMMA**4 + EULER_GAMMA**2 * _PI**2 + 3.0 * _PI**4 / 20.0 + 8.0 * EULER_GAMMA * ZETA_3,
 )
 
+# Largest mean impurity count drawn: its gap arrays take ~0.5 GB each, and a table
+# needs two levels per interval at least, so 2**25 intervals fill spectrum.MAX_LEVELS.
+MAX_MEAN_IMPURITIES = 2**26
+
 LOG_MOMENT_MAX_POWER = 4
 LOG_MOMENT_MAX_DEGREE = 60
 
@@ -105,8 +109,8 @@ def poisson_lengths(intensity: float, total_length: float, rng: np.random.Genera
     _require_positive("intensity", intensity)
     _require_positive("total_length", total_length, DomainError)  # L = 0 would redraw forever
     mean_count = intensity * total_length
-    if mean_count > 2.0**62:
-        raise DomainError(f"expected impurity count {mean_count:g} exceeds integer range")
+    if mean_count > MAX_MEAN_IMPURITIES:
+        raise DomainError(f"expected impurity count {mean_count:g} exceeds {MAX_MEAN_IMPURITIES}")
     return _uniform_gaps(int(rng.poisson(mean_count)), total_length, rng)
 
 

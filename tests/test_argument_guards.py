@@ -190,3 +190,16 @@ def test_cli_imports_no_private_name_but_the_guards():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert private == []
+
+
+def test_only_mc_rows_catches_trial_errors():
+    # one trial loop: no other CLI function isolates a trial's failure
+    package = pathlib.Path(bec1d.__file__).parent
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    catchers = sorted({
+        func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Name)
+        and node.type.id == "_TRIAL_ERRORS"
+    })
+    assert catchers == ["_mc_rows"]

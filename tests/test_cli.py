@@ -16,7 +16,9 @@ from bec1d import (
     ids_limit,
     kernel_finite,
     kernel_with_condensate,
+    sample_ordered_lengths,
     solve_mu_finite,
+    trial_rng,
 )
 from bec1d import correlations, thermodynamics
 
@@ -189,6 +191,19 @@ class TestConfigFile:
         assert meta["config"]["intensity"] == 1.0
         assert meta["config"]["e_grid"] == [0.5, 1.0]
 
+    @pytest.mark.parametrize("settings", [
+        {"seeds": "3"}, {"intensity": "1"}, {"seeds": None}, {"seeds": 2.5},
+        {"e_grid": 1}, {"e_grid": [0.5, "x"]}, {"base_seed": 1.5}, {"base_seed": True},
+    ])
+    def test_mistyped_values_are_usage_errors(self, tmp_path, settings):
+        # a value must be what its flag parses to; a bool is never a number
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"e_grid": [1.0], "seeds": 2, **settings}))
+        out = tmp_path / "x.csv"
+        assert run_cli(["ids", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.meta.json").exists()
+
 
 class TestTrialFailureIsolation:
     def test_one_bad_trial_does_not_abort(self, tmp_path, monkeypatch):
@@ -223,6 +238,17 @@ class TestTrialFailureIsolation:
         assert code == 0
         _, rows = read_csv(out)
         assert rows[0]["failed_trials"] == "1"
+        assert rows[0]["status"] == "trial_failures"
+
+    def test_an_oversized_poisson_draw_fails_the_trial(self, tmp_path):
+        # 1e9 expected impurities exceed the Poisson bound before anything is drawn
+        out = tmp_path / "i.csv"
+        code = run_cli([
+            "ids", "--e-grid", "1", "--box-length", "1e9", "--seeds", "2", "--out", str(out),
+        ])
+        assert code == 0
+        _, rows = read_csv(out)
+        assert rows[0]["failed_trials"] == "2"
         assert rows[0]["status"] == "trial_failures"
 
     def test_plain_value_error_propagates(self, tmp_path, monkeypatch):
@@ -364,6 +390,17 @@ class TestOtherCommands:
             math.exp(-1.0), rel=1e-15
         )
 
+    def test_orderstats_means_are_the_sampler_means(self, tmp_path):
+        out = tmp_path / "o.csv"
+        assert run_cli([
+            "orderstats", "--lambda", "2", "--k", "50", "--seeds", "30",
+            "--base-seed", "4", "--out", str(out),
+        ]) == 0
+        by_name = {row["statistic"]: row for row in read_csv(out)[1]}
+        draws = np.array([sample_ordered_lengths(2.0, 50, trial_rng(4, t)) for t in range(30)])
+        assert float(by_name["mean_largest"]["mc_mean"]) == draws[:, 0].mean()
+        assert float(by_name["mean_second_largest"]["mc_mean"]) == draws[:, 1].mean()
+
     def test_hierarchy_classification_in_metadata(self, tmp_path):
         out = tmp_path / "h.csv"
         code = run_cli([
@@ -386,3 +423,26 @@ class TestOtherCommands:
         assert len(rows) == 2
         for row in rows:
             assert 0.0 <= float(row["median_fraction"]) <= 1.0
+
+
+_MC = ["trials", "failed_trials", "mc_mean", "mc_std", "analytic", "rel_deviation", "status"]
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["ids", "--e-grid", "1", "--box-length", "50"], ["energy", *_MC, "box_length"]),
+    (["thermo", "--mu", "-0.5", "--box-length", "50"], ["box_length", *_MC, "observable"]),
+    (["correlate", "--rho", "0.2", "--r-grid", "0 1", "--box-length", "50"],
+     ["separation", *_MC, "box_length"]),
+    (["hierarchy", "--rho", "0.015", "--l-ladder", "1e4"],
+     ["box_length", "mu_solved", "total_density", "max_state_density", "macro_states",
+      "analytic", "status"]),
+    (["orderstats", "--k", "5"],
+     ["statistic", "k", "trials", "mc_mean", "mc_std", "analytic", "rel_deviation", "status"]),
+    (["localize", "--rho", "0.2", "--box-length", "50"],
+     ["box_length", "trials", "failed_trials", "empty_windows", "ties", "mc_mean", "mc_std",
+      "median_fraction", "analytic", "rel_deviation", "status"]),
+])
+def test_csv_header_of_each_command(tmp_path, argv, header):
+    out = tmp_path / "x.csv"
+    assert run_cli([*argv, "--seeds", "2", "--out", str(out)]) == 0
+    assert read_csv(out)[0] == header

@@ -57,6 +57,14 @@ class TestSampling:
         with pytest.raises(DomainError, match="total_length"):
             poisson_lengths(1.0, total_length, NoDraws())
 
+    def test_poisson_lengths_rejects_an_oversized_draw_before_drawing(self):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"drew {name} past the mean-count bound")
+
+        with pytest.raises(DomainError, match="expected impurity count"):
+            poisson_lengths(1.0, 1.01 * 2**26, NoDraws())
+
     def test_seeded_lengths_are_pinned(self):
         # both samplers share one draw-sort-diff loop; these lengths predate it
         assert sample_uniform_partition(3.7, 4, seed=11).lengths.tolist() == [
