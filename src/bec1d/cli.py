@@ -463,6 +463,14 @@ def build_config(argv: list[str]) -> ExperimentConfig:
         kind = ExperimentConfig.__dataclass_fields__[key].type  # the annotation, as a string
         if not _has_field_type(kind, value):
             raise UsageError(f"config value {key} = {value!r} is not of type {kind}")
+        # store what the flag parses to, so a file and flags write the same bytes
+        try:
+            if kind == "list[float]":
+                settings[key] = [float(v) for v in value]
+            elif kind.startswith("float") and value is not None:
+                settings[key] = float(value)
+        except OverflowError as err:
+            raise UsageError(f"config value {key} = {value!r} overflows a float") from err
     return ExperimentConfig(**settings)
 
 

@@ -37,8 +37,7 @@ _GAMMA_DERIVATIVES_AT_ONE = (
     EULER_GAMMA**4 + EULER_GAMMA**2 * _PI**2 + 3.0 * _PI**4 / 20.0 + 8.0 * EULER_GAMMA * ZETA_3,
 )
 
-# Largest mean impurity count drawn: its gap arrays take ~0.5 GB each, and a table
-# needs two levels per interval at least, so 2**25 intervals fill spectrum.MAX_LEVELS.
+# Largest mean impurity count drawn: its gap arrays take ~0.5 GB each.
 MAX_MEAN_IMPURITIES = 2**26
 
 LOG_MOMENT_MAX_POWER = 4

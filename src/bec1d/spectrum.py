@@ -53,7 +53,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class LevelTable:
-    """Every level E = (C s / L)^2 of a partition up to a cutoff, with its interval length L.
+    """Every level E = (C s / L)^2 of a partition below a cutoff, with its interval length L.
 
     Grouped by interval; the wave number pi s / L is sqrt(2 E). One table is the
     state of a realization that every finite observable reads (see level_table).
@@ -114,24 +114,22 @@ def counting_function(partition: IntervalPartition, energy: float) -> float:
     return float(counts.sum()) / partition.total_length
 
 
-def _level_modes(lengths: np.ndarray, energy_cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    """Level count per interval and the mode s of every level <= cutoff, grouped by interval."""
-    _require_positive("energy_cutoff", energy_cutoff)
-    # one extra mode keeps the cutoff inclusive; a float count cannot wrap at huge cutoffs
-    counts = np.maximum(_modes_below(lengths, energy_cutoff), 1.0) + 1.0
-    if counts.sum() > MAX_LEVELS:
-        raise DomainError(f"{counts.sum():.3g} levels up to {energy_cutoff:g} exceed {MAX_LEVELS}")
-    counts = counts.astype(np.int64)
-    modes = np.ones(int(counts.sum()))
-    # modes runs 1..count within each interval block, as exact floats to scale in place
-    modes[np.cumsum(counts)[:-1]] -= counts[:-1]
-    return counts, np.cumsum(modes, out=modes)
-
-
 def build_level_table(partition: IntervalPartition, energy_cutoff: float) -> LevelTable:
-    """Enumerate every level with energy <= energy_cutoff (at least one per interval)."""
-    counts, energies = _level_modes(partition.lengths, energy_cutoff)
+    """Enumerate every level with energy strictly below energy_cutoff, grouped by interval.
+
+    An interval without such a level is absent; DomainError if no interval has one.
+    """
+    _require_positive("energy_cutoff", energy_cutoff)
+    counts = _modes_below(partition.lengths, energy_cutoff)  # a float count cannot wrap
+    if not 0 < counts.sum() <= MAX_LEVELS:
+        raise DomainError(f"{counts.sum():.3g} levels below {energy_cutoff:g}, not 1..{MAX_LEVELS}")
+    counts = counts.astype(np.int64)
     lens = np.repeat(partition.lengths, counts)
+    counts = counts[counts > 0]
+    energies = np.ones(lens.size)
+    # modes run 1..count within each interval block, as exact floats to scale in place
+    energies[np.cumsum(counts)[:-1]] -= counts[:-1]
+    np.cumsum(energies, out=energies)
     energies *= C  # (C s / L)^2 in place
     np.square(np.divide(energies, lens, out=energies), out=energies)
     return LevelTable(energies, lens, partition.total_length, energy_cutoff)

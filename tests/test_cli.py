@@ -168,6 +168,39 @@ class TestValidation:
         assert not out.exists()
         assert not (tmp_path / "h.csv.meta.json").exists()
 
+    @pytest.mark.parametrize("argv, settings, message", [
+        (["ids", "--e-grid", "1", "--seeds", "0"], None, "--seeds must be >= 1, got 0"),
+        (["correlate", "--mu", "-0.5"], None, "correlate needs a non-empty --r-grid"),
+        (["correlate", "--r-grid", "0 1"], None, "correlate needs exactly one of --mu / --rho"),
+        (["thermo"], None, "thermo needs exactly one of --mu / --rho"),
+        (["hierarchy", "--l-ladder", "1e4 1e5 1e6"], None, "hierarchy needs --rho"),
+        (["hierarchy", "--rho", "0.015"], None, "hierarchy needs a non-empty --l-ladder"),
+        (["localize"], None, "localize needs --rho"),
+        (["orderstats", "--k", "1"], None, "--k must be >= 2, got 1"),
+        # argparse choices reject these flags first, so only a config file reaches the rule
+        (["ids", "--e-grid", "1"], {"format": "xml"}, "--format must be csv|json, got 'xml'"),
+        (["hierarchy", "--rho", "0.015", "--l-ladder", "1e4 1e5 1e6"], {"kind": "type4"},
+         "--kind must be type1|type2|type3, got 'type4'"),
+        (["ids", "--e-grid", "1"], "missing", "cannot read config file"),
+        (["ids", "--e-grid", "1"], [1], "config file must hold a JSON object"),
+        (None, None, "unknown command 'bogus'"),
+    ])
+    def test_each_usage_rule_exits_2_with_its_message(self, tmp_path, capsys, argv, settings,
+                                                       message):
+        out = tmp_path / "x.csv"
+        if argv is None:
+            code = cli.run(cli.ExperimentConfig("bogus", out=str(out)))
+        else:
+            cfg = tmp_path / "c.json"
+            if settings is not None and settings != "missing":
+                cfg.write_text(json.dumps(settings))
+            config = [] if settings is None else ["--config", str(cfg)]
+            code = run_cli([*argv, *config, "--out", str(out)])
+        assert code == 2
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.meta.json").exists()
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"command": "ids", "bogus": 1}))
@@ -191,9 +224,27 @@ class TestConfigFile:
         assert meta["config"]["intensity"] == 1.0
         assert meta["config"]["e_grid"] == [0.5, 1.0]
 
+    def test_file_and_flags_write_the_same_bytes(self, tmp_path):
+        # a JSON integer for a float field is stored as the float its flag parses to
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"box_length": 300, "mu": -1, "seeds": 2}))
+        from_file, from_flags = tmp_path / "file.json", tmp_path / "flags.json"
+        assert run_cli(["thermo", "--config", str(cfg), "--format", "json",
+                        "--out", str(from_file)]) == 0
+        assert run_cli(["thermo", "--box-length", "300", "--mu", "-1", "--seeds", "2",
+                        "--format", "json", "--out", str(from_flags)]) == 0
+        assert from_file.read_bytes() == from_flags.read_bytes()
+        metas = []
+        for path in (from_file, from_flags):
+            meta = json.loads(path.with_name(path.name + ".meta.json").read_text())
+            del meta["wall_time_seconds"], meta["config"]["out"]
+            metas.append(json.dumps(meta, sort_keys=True))  # text, so 300 differs from 300.0
+        assert metas[0] == metas[1]
+
     @pytest.mark.parametrize("settings", [
         {"seeds": "3"}, {"intensity": "1"}, {"seeds": None}, {"seeds": 2.5},
         {"e_grid": 1}, {"e_grid": [0.5, "x"]}, {"base_seed": 1.5}, {"base_seed": True},
+        {"intensity": 10**400}, {"e_grid": [10**400]},
     ])
     def test_mistyped_values_are_usage_errors(self, tmp_path, settings):
         # a value must be what its flag parses to; a bool is never a number

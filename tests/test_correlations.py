@@ -291,6 +291,13 @@ class TestDecayRateFit:
             bound = free_kernel(beta, mu, float(r)) * math.exp(-lam * r)
             assert k <= bound * 1.02
 
+    def test_a_window_at_the_roundoff_floor_raises(self):
+        # past r ~ 40 both kernels are roundoff at mu = -0.5; their ratio has no slope
+        assert kernel_limit(PARAMS, 1.0, -0.5, 40.0) <= 0.0
+        assert free_kernel(1.0, -0.5, 60.0) <= 0.0
+        with pytest.raises(ConvergenceError, match="non-positive kernel value at r=40"):
+            decay_rate_fit(PARAMS, 1.0, -0.5, (40.0, 60.0))
+
     def test_window_validation(self):
         with pytest.raises(ValueError):
             decay_rate_fit(PARAMS, 1.0, -0.5, (5.0, 15.0), num_points=4)

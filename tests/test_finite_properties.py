@@ -53,9 +53,9 @@ def at_corners(**fixed):
 def box(intensity: float, beta: float, seed: int):
     """A Poisson partition whose table holds about 1e5 levels or fewer.
 
-    A table holds about L sqrt(E0 + TAIL_EXPONENT / beta) / C levels plus two
-    per interval; E0 stays below (C intensity)^2 unless the largest interval
-    is shorter than the mean one.
+    A table holds about L sqrt(E0 + TAIL_EXPONENT / beta) / C levels; E0 stays
+    below (C intensity)^2 unless the largest interval is shorter than the mean
+    one, and the box budgets two more levels per expected interval as margin.
     """
     cutoff = (C * intensity) ** 2 + TAIL_EXPONENT / beta
     per_length = math.sqrt(cutoff) / C + 2.0 * intensity

@@ -27,6 +27,7 @@ from bec1d import (
     ids_free,
     ids_limit,
     ids_series,
+    level_table,
     sample_poisson_partition,
 )
 from util import partition
@@ -95,6 +96,26 @@ class TestLevels:
         monkeypatch.setattr(spectrum, "MAX_LEVELS", size - 1)
         with pytest.raises(DomainError):
             build_level_table(part, 30.0)
+
+    @pytest.mark.parametrize("intensity", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("beta", [1e-3, 1.0, 1e3])
+    def test_table_holds_exactly_the_levels_below_its_cutoff(self, intensity, beta):
+        for seed in range(3):
+            cutoff = (C * intensity) ** 2 + spectrum.TAIL_EXPONENT / beta
+            part = sample_poisson_partition(intensity, min(2000.0, 2e4 * C / math.sqrt(cutoff)),
+                                            seed)
+            table = level_table(part, beta)
+            assert table.energies.max() < table.energy_cutoff
+            count = counting_function(part, table.energy_cutoff) * part.total_length
+            assert table.energies.size == round(count)
+            # the ground level in the arithmetic of the table: no level lies below it
+            ground = float(np.square(C / part.lengths.max()))
+            assert table.ground_energy == ground
+            for empty in (ground, 0.5 * ground):
+                with pytest.raises(DomainError, match="levels below"):
+                    build_level_table(part, empty)
+            assert build_level_table(part, np.nextafter(ground, np.inf)).energies.tolist() == \
+                [ground]
 
 
 class TestCountingFunction:
