@@ -268,7 +268,8 @@ def _run_hierarchy(cfg: ExperimentConfig):
             "box_length": box,
             "mu_solved": profile.mu_used,
             "total_density": profile.total_density(),
-            "max_state_density": float(max(profile.large.max(), profile.small.max())),
+            "max_state_density": float(max(profile.large.max(initial=0.0),
+                                             profile.small.max(initial=0.0))),
             "macro_states": profile.macroscopic_count(profile.macroscopic_threshold),
             "analytic": rho_c,
             "status": "ok",

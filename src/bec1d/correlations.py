@@ -267,9 +267,8 @@ def decay_rate_fit(
     beta: float,
     mu: float,
     r_window: tuple[float, float],
-    num_points: int = 11,
 ) -> float:
-    """Fitted slope of ln(kernel_limit / free_kernel) over a separation window.
+    """Fitted slope of ln(kernel_limit / free_kernel) at 11 separations evenly across a window.
 
     In the asymptotic regime the disorder multiplies the free decay by exactly
     e^{-intensity * r}, so the slope is -intensity. The window's lower edge
@@ -285,9 +284,7 @@ def decay_rate_fit(
         raise ValueError(
             f"window lower edge {lo} sits before the asymptotic regime (needs >= {crossover:g})"
         )
-    if num_points < 5:
-        raise ValueError(f"need at least 5 sample points, got {num_points}")
-    rs = np.linspace(lo, hi, num_points)
+    rs = np.linspace(lo, hi, 11)
     ratios = []
     for r in rs:
         k = kernel_limit(params, beta, mu, float(r))

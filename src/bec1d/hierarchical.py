@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, _require_below, _require_positive
 from .numerics import _bose_occupations, _log_newton
-from .spectrum import C, C_SQUARED, TAIL_EXPONENT
+from .spectrum import C, C_SQUARED, TAIL_EXPONENT, _modes_below
 
 _MU_TOLERANCE = 1e-14
 
@@ -117,44 +117,49 @@ def build_layout(
     )
 
 
-def _tower_occupations(length: float, beta: float, mu: float) -> np.ndarray:
-    """Occupations of every thermally relevant mode of one interval."""
-    ground = C_SQUARED / length**2
-    e_max = max(ground, mu) + TAIL_EXPONENT / beta
-    s_max = max(1, int(length * math.sqrt(e_max) / C) + 1)
-    modes = np.arange(1, s_max + 1, dtype=float)
-    return _bose_occupations(beta * ((C * modes / length) ** 2 - mu))
+def _towers(lengths: np.ndarray, cutoff: float) -> list[np.ndarray]:
+    """The levels (C s / L)^2 of each length L strictly below cutoff, counted as a level
+    table counts them (_modes_below): an interval without such a level has an empty tower."""
+    return [np.square(C * np.arange(1.0, n + 1.0) / length)
+            for length, n in zip(lengths, _modes_below(lengths, cutoff))]
 
 
-def _layout_density(layout: HierarchicalLayout, beta: float, mu: float) -> tuple[float, float]:
-    """Density of the layout and its mu-derivative beta * sum n(n+1) / L."""
-    large = _tower_occupations(layout.large_length, beta, mu)
-    small = _tower_occupations(layout.small_length, beta, mu)
-    count = large.sum() * layout.large_count + small.sum() * layout.small_count
-    slope = (np.einsum("i,i->", large, large + 1.0) * layout.large_count
-             + np.einsum("i,i->", small, small + 1.0) * layout.small_count)
-    return float(count) / layout.total_length, beta * float(slope) / layout.total_length
+def _layout_towers(layout: HierarchicalLayout, beta: float) -> list[np.ndarray]:
+    """Towers of one large and one small interval below E0 + TAIL_EXPONENT / beta."""
+    cutoff = layout.ground_energy + TAIL_EXPONENT / beta
+    return _towers(np.array([layout.large_length, layout.small_length]), cutoff)
+
+
+def _layout_density(layout: HierarchicalLayout, beta: float):
+    """density(mu) -> (density, slope beta sum n (n + 1) / L); each call computes only n."""
+    _require_positive("beta", beta)
+    weighted = list(zip(_layout_towers(layout, beta), (layout.large_count, layout.small_count)))
+
+    def density(mu: float) -> tuple[float, float]:
+        count = slope = 0.0
+        for tower, weight in weighted:
+            n = _bose_occupations(beta * (tower - mu))
+            count += n.sum() * weight
+            slope += np.einsum("i,i->", n, n + 1.0) * weight
+        return float(count) / layout.total_length, beta * float(slope) / layout.total_length
+
+    return density
 
 
 def hierarchical_density(layout: HierarchicalLayout, beta: float, mu: float) -> float:
     """Particle density of the layout: large-interval towers plus the small bulk."""
-    _require_positive("beta", beta)
     _require_below("mu", mu, layout.ground_energy)
-    return _layout_density(layout, beta, mu)[0]
+    return _layout_density(layout, beta)(mu)[0]
 
 
 def hierarchical_critical_density(intensity: float, beta: float) -> float:
-    """Limiting critical density, the same for all three layout kinds.
-
-    intensity * sum_s 1 / (exp(beta (C s / intensity)^2) - 1) with certified
-    geometric truncation.
-    """
+    """Limiting critical density, the same for all three layout kinds: intensity * sum_s
+    1 / (exp(beta E_s) - 1) over the tower E_s = (C s / intensity)^2 of one interval of
+    length intensity, below its ground plus TAIL_EXPONENT / beta."""
     _require_positive("intensity", intensity)
     _require_positive("beta", beta)
-    scale = beta * (C / intensity) ** 2
-    s_max = max(4, int(math.sqrt(TAIL_EXPONENT / scale)) + 2)
-    s = np.arange(1, s_max + 1, dtype=float)
-    return intensity * float(_bose_occupations(scale * s * s).sum())
+    (tower,) = _towers(np.array([intensity]), C_SQUARED / intensity**2 + TAIL_EXPONENT / beta)
+    return intensity * float(_bose_occupations(beta * tower).sum())
 
 
 def solve_mu_hierarchical(layout: HierarchicalLayout, beta: float, rho: float) -> float:
@@ -164,8 +169,7 @@ def solve_mu_hierarchical(layout: HierarchicalLayout, beta: float, rho: float) -
     occupations n; it stops on a sign-verified bracket of width 1e-14 * max(1, |mu|).
     """
     _require_positive("rho", rho)
-    _require_positive("beta", beta)
-    return _log_newton(lambda mu: _layout_density(layout, beta, mu), rho, 1.0 / beta,
+    return _log_newton(_layout_density(layout, beta), rho, 1.0 / beta,
                        _MU_TOLERANCE, anchor=layout.ground_energy)
 
 
@@ -201,12 +205,8 @@ def solve_type2_coefficient(intensity: float, beta: float, rho: float) -> float:
 
 
 def _weighted_sum(large: np.ndarray, large_count: int, small: np.ndarray, small_count: int) -> float:
-    """Exactly rounded sum of per-state densities weighted by their multiplicities.
-
-    Each large density enters once per large interval rather than as
-    density * large_count, so the sum carries one rounding, not one per state.
-    """
-    return math.fsum(np.concatenate((np.tile(large, large_count), small * small_count)))
+    """fsum of the per-state densities times their multiplicities, one rounding per product."""
+    return math.fsum(np.concatenate((large * large_count, small * small_count)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +214,8 @@ class OccupationProfile:
     """Per-state occupation densities of a layout at a target density.
 
     `large[s - 1]` is the volume-normalized occupation of mode s in one large
-    interval and `small[s - 1]` that of mode s in one small interval; the
+    interval and `small[s - 1]` that of mode s in one small interval, over the
+    layout's towers (empty for a class without a level below the cutoff); the
     layout's large_count and small_count are their multiplicities.
     """
 
@@ -244,13 +245,14 @@ class OccupationProfile:
 
 
 def occupation_profile(layout: HierarchicalLayout, beta: float, rho: float) -> OccupationProfile:
-    """Solve for mu and record the occupation density of every thermally
-    relevant mode of one large and one small interval."""
+    """Solve for mu and record the occupation density of each level of the layout's towers."""
     mu = solve_mu_hierarchical(layout, beta, rho)
     volume = layout.total_length
+    large, small = (_bose_occupations(beta * (tower - mu)) / volume
+                    for tower in _layout_towers(layout, beta))
     return OccupationProfile(
-        large=_tower_occupations(layout.large_length, beta, mu) / volume,
-        small=_tower_occupations(layout.small_length, beta, mu) / volume,
+        large=large,
+        small=small,
         large_count=layout.large_count,
         small_count=layout.small_count,
         mu_used=mu,

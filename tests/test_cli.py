@@ -10,12 +10,14 @@ import bec1d.cli as cli
 from bec1d import (
     ConvergenceError,
     ModelParams,
+    build_layout,
     condensate_density,
     critical_density,
     expected_largest,
     ids_limit,
     kernel_finite,
     kernel_with_condensate,
+    occupation_profile,
     sample_ordered_lengths,
     solve_mu_finite,
     trial_rng,
@@ -461,6 +463,19 @@ class TestOtherCommands:
         assert code == 0
         meta = json.loads((tmp_path / "h.csv.meta.json").read_text())
         assert meta["classification"] == "type2"
+
+    def test_hierarchy_with_an_empty_class(self, tmp_path):
+        # at L = 2 the large interval (ln 2) is shorter than the small one (2 - ln 2) and
+        # has no level below E0 + 60/beta at beta = 9: its tower is empty, so the row's
+        # largest state density comes from the small class
+        out = tmp_path / "h.csv"
+        assert run_cli([
+            "hierarchy", "--lambda", "1", "--beta", "9", "--rho", "0.5", "--kind", "type1",
+            "--l-ladder", "2 5 11", "--out", str(out),
+        ]) == 0
+        profile = occupation_profile(build_layout("type1", 2.0, 1.0), 9.0, 0.5)
+        assert profile.large.size == 0
+        assert float(read_csv(out)[1][0]["max_state_density"]) == profile.small.max()
 
     def test_localize(self, tmp_path):
         out = tmp_path / "l.csv"

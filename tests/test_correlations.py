@@ -300,8 +300,6 @@ class TestDecayRateFit:
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
-            decay_rate_fit(PARAMS, 1.0, -0.5, (5.0, 15.0), num_points=4)
-        with pytest.raises(ValueError):
             decay_rate_fit(PARAMS, 1.0, -0.5, (1.0, 15.0))
         with pytest.raises(DomainError):
             decay_rate_fit(PARAMS, 1.0, 0.5, (5.0, 15.0))

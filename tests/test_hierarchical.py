@@ -1,6 +1,8 @@
 """Deterministic hierarchical layouts, their solvers, and the classifier."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from bec1d import (
     DomainError,
     LayoutKind,
     build_layout,
+    build_level_table,
     classify_condensate,
     density_finite,
     hierarchical_critical_density,
@@ -20,6 +23,8 @@ from bec1d import (
     solve_mu_hierarchical,
     solve_type2_coefficient,
 )
+from bec1d import hierarchical
+from bec1d.spectrum import TAIL_EXPONENT
 from util import partition
 
 LAM = BETA = 1.0
@@ -65,6 +70,42 @@ class TestLayouts:
                 + layout.small_count * layout.small_length
             )
             assert total == pytest.approx(layout.total_length, rel=1e-12)
+
+
+class TestTowers:
+    def test_towers_are_the_level_table_blocks_of_the_two_intervals(self):
+        # every layout build_layout accepts on the grid; an empty tower is an absent interval
+        empty = 0
+        for lam, beta, kind, box in itertools.product(
+            (0.5, 1.0, 2.0), (0.5, 1.0, 2.0, 9.0), LayoutKind, (2.0, 11.0, 1e4, 1e6)
+        ):
+            try:
+                layout = build_layout(kind, box, lam)
+            except ValueError:
+                continue
+            towers = hierarchical._layout_towers(layout, beta)
+            lengths = [layout.large_length, layout.small_length]
+            table = build_level_table(
+                partition(lengths), layout.ground_energy + TAIL_EXPONENT / beta
+            )
+            assert np.array_equal(np.concatenate(towers), table.energies)
+            assert np.array_equal(np.repeat(lengths, [t.size for t in towers]), table.lengths)
+            empty += sum(t.size == 0 for t in towers)
+        assert empty > 0
+
+    def test_one_tower_build_per_solve(self, monkeypatch):
+        builds, steps = [], []
+        real_modes, real_occupations = hierarchical._modes_below, hierarchical._bose_occupations
+        monkeypatch.setattr(hierarchical, "_modes_below",
+                            lambda *a: builds.append(1) or real_modes(*a))
+        monkeypatch.setattr(hierarchical, "_bose_occupations",
+                            lambda x: steps.append(1) or real_occupations(x))
+        for kind in LayoutKind:
+            builds.clear()
+            steps.clear()
+            solve_mu_hierarchical(build_layout(kind, 1e6, 1.0), BETA, RHO)
+            assert len(builds) == 1
+            assert len(steps) >= 2 * 3  # two towers per Newton step, several steps
 
 
 class TestDensity:
@@ -119,6 +160,17 @@ class TestCriticalDensity:
         lam = beta = 0.5
         density = hierarchical_density(build_layout("type1", 1e6, lam), beta, 0.0)
         assert hierarchical_critical_density(lam, beta) == pytest.approx(density, rel=1e-3)
+
+    def test_values_on_the_benchmark_grid_are_pinned(self):
+        pinned = {
+            (0.5, 0.5): "2.586293081509607e-05", (0.5, 1.0): "1.3376439991157046e-09",
+            (0.5, 2.0): "3.578582917593029e-18", (1.0, 0.5): "0.09271500541170889",
+            (1.0, 1.0): "0.007243983899107874", (1.0, 2.0): "5.172586163019214e-05",
+            (2.0, 0.5): "2.5376628548699824", (2.0, 1.0): "0.8362400089939204",
+            (2.0, 2.0): "0.18543001082341778",
+        }
+        for (lam, beta), value in pinned.items():
+            assert repr(hierarchical_critical_density(lam, beta)) == value
 
     def test_vanishes_at_zero_temperature(self):
         assert hierarchical_critical_density(1.0, 100.0) < 1e-200
@@ -200,6 +252,24 @@ class TestProfiles:
         layout = build_layout(kind, 1e5, 1.0)
         profile = occupation_profile(layout, BETA, RHO)
         assert profile.total_density() == pytest.approx(RHO, abs=1e-8)
+
+    def test_total_density_does_not_copy_the_large_towers(self):
+        # 1e5 large intervals: the sum of each state density repeated large_count
+        # times, the oracle, against the weighted sum, in O(modes) memory
+        layout = build_layout("type1", 1e8, 1.0, large_count=100_000)
+        profile = occupation_profile(layout, BETA, RHO)
+        tiled = math.fsum(itertools.chain(
+            itertools.chain.from_iterable(itertools.repeat(profile.large.tolist(), 100_000)),
+            profile.small * profile.small_count,
+        ))
+        tracemalloc.start()
+        try:
+            total = profile.total_density()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(total - tiled) <= 2e-16 * tiled
+        assert peak < 1_000_000
 
     def test_type1_equal_split_is_exact(self):
         layout = build_layout("type1", 1e6, 1.0, large_count=3)
