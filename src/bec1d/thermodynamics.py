@@ -23,17 +23,17 @@ discarded density tail is below 1e-20 of the density. The critical density
 by parts and the free kernel keep their full range, so the by-parts route
 stays an independent check of the cut.
 
-The limit chemical-potential solve integrates the density and its
-mu-derivative in one batched pass of numerics._gauss_kronrod per Newton step,
-two owners over the same panels: w(q) n and w(q) beta n (n + 1), with w the
-density-of-states measure and n the Bose occupation. For mu < 0 the range
-[0, q_max] does not depend on mu, so every step starts from the same panels,
-cut at the _interior_points knots of the first Newton point mu = -1/beta;
-each subpanel is checked against max(1e-13 / subpanels, 1e-12 |its integral|)
-at the step's mu and bisected if it fails, so each step's error estimate
-stays within quad's bound, 1e-12 of the integral plus 1e-13. density_limit,
-pressure_limit, the critical density and its by-parts route stay on quad;
-density_limit is the independent certificate of the solved mu.
+Every limit integral here but density_limit runs numerics._integrate_panels,
+the batched G10K21 rule over knot panels at quad's bound, 1e-13 split over
+the panels plus 1e-12 of the integral. The limit q-integrals share
+_limit_knots: 0, the knee sqrt(1/beta + mu), 1/sqrt(beta) and q_max. The
+limit chemical-potential solve integrates the density and its mu-derivative
+in one pass per Newton step, two owners over the same panels: w(q) n and
+w(q) beta n (n + 1), with w the density-of-states measure and n the Bose
+occupation. For mu < 0 the range [0, q_max] does not depend on mu, so every
+step starts from the knots of mu = -1/beta, its first point. density_limit
+(so the critical density) stays on quad over the same knots, the
+independent certificate of the solved mu.
 
 The finite chemical-potential solve splits the level table once, at
 beta (E - E0) = 4 above its ground level E0. For every mu below E0 a level
@@ -62,15 +62,14 @@ from .numerics import (
     _bose_occupations,
     _bose_slope,
     _bose_slopes,
-    _gauss_kronrod,
-    _log1mexp,
+    _integrate_panels,
     _log1mexps,
     _log_newton,
 )
 from .poisson_geometry import IntervalPartition
 from .spectrum import C, TAIL_EXPONENT, LevelTable, ModelParams, build_level_table
 
-_QUAD_OPTS = dict(limit=400, epsabs=1e-13, epsrel=1e-12)
+_TOLERANCE = dict(epsabs=1e-13, epsrel=1e-12)
 _MU_TOLERANCE = 1e-12
 #: table levels with beta (E - E0) at or above this split enter the mu solve through moments
 _SPLIT_EXPONENT = 4.0
@@ -151,38 +150,41 @@ def _q_max(beta: float, mu: float, intensity: float) -> float:
     return math.sqrt(max(top, 1e-6))
 
 
-def _interior_points(beta: float, mu: float, qmax: float) -> list[float]:
+def _limit_knots(beta: float, mu: float, intensity: float) -> np.ndarray:
+    """Knots of the limit q-integrals: 0, the knee sqrt(1/beta + mu), 1/sqrt(beta), q_max."""
+    qmax = _q_max(beta, mu, intensity)
     knee = math.sqrt(max(1.0 / beta + min(mu, 0.0), 1.0 / beta * 0.01))
-    return [p for p in (knee, math.sqrt(1.0 / beta)) if 0.0 < p < qmax]
-
-
-def _limit_integral(params: ModelParams, beta: float, mu: float, weight) -> float:
-    """Integral of the limiting density of states against weight(beta (E - mu)), over E = q^2."""
-    lam = params.intensity
-    qmax = _q_max(beta, mu, lam)
-
-    def integrand(q: float) -> float:
-        w = _ids_weight_q(q, lam)
-        if w == 0.0:
-            return 0.0
-        return w * weight(beta * (q * q - mu))
-
-    val, _ = quad(integrand, 0.0, qmax, points=_interior_points(beta, mu, qmax), **_QUAD_OPTS)
-    return val
+    inner = [p for p in (knee, math.sqrt(1.0 / beta)) if 0.0 < p < qmax]
+    return np.unique([0.0, *inner, qmax])
 
 
 def pressure_limit(params: ModelParams, beta: float, mu: float) -> float:
     """Self-averaged pressure, -(1/beta) * integral of N'(E) ln(1 - e^{-beta(E-mu)})."""
     _require_positive("beta", beta)
     _require_below("mu", mu, 0.0)
-    return -_limit_integral(params, beta, mu, _log1mexp) / beta
+    lam = params.intensity
+
+    def integrand(q, _):
+        return _ids_weights_q(q, lam) * _log1mexps(beta * (q * q - mu))
+
+    return -_integrate_panels(integrand, _limit_knots(beta, mu, lam), 1, **_TOLERANCE)[0] / beta
 
 
 def density_limit(params: ModelParams, beta: float, mu: float) -> float:
     """Self-averaged particle density; mu = 0 gives the critical density."""
     _require_positive("beta", beta)
     _require_below("mu", mu, 0.0, inclusive=True)
-    return _limit_integral(params, beta, mu, _bose_factor)
+    lam = params.intensity
+    knots = _limit_knots(beta, mu, lam)
+
+    def integrand(q: float) -> float:
+        w = _ids_weight_q(q, lam)
+        if w == 0.0:
+            return 0.0
+        return w * _bose_factor(beta * (q * q - mu))
+
+    val, _ = quad(integrand, 0.0, knots[-1], points=knots[1:-1], limit=400, **_TOLERANCE)
+    return val
 
 
 @functools.lru_cache(maxsize=1024)
@@ -206,15 +208,12 @@ def critical_density_by_parts(params: ModelParams, beta: float) -> float:
     _require_positive("beta", beta)
     lam = params.intensity
 
-    def integrand(q: float) -> float:
-        if q <= 0.0:
-            return 0.0
-        return 2.0 * q * lam * _bose_factor(C * lam / q) * beta * _bose_slope(beta * q * q)
+    def integrand(q, _):
+        return 2.0 * q * lam * _bose_occupations(C * lam / q) * beta * _bose_slopes(beta * q * q)
 
     qmax = math.sqrt(EXP_CUTOFF / beta)
-    pts = sorted(p for p in {C * lam, 1.0 / math.sqrt(beta)} if p < qmax)
-    val, _ = quad(integrand, 0.0, qmax, points=pts, **_QUAD_OPTS)
-    return val
+    knots = np.unique([0.0, *(p for p in (C * lam, 1.0 / math.sqrt(beta)) if p < qmax), qmax])
+    return _integrate_panels(integrand, knots, 1, **_TOLERANCE)[0]
 
 
 def _table_density(table: LevelTable, beta: float):
@@ -275,27 +274,21 @@ def solve_mu_finite(source: IntervalPartition | LevelTable, beta: float, rho: fl
 def _limit_density(intensity: float, beta: float):
     """density(mu) -> (density_limit, d density_limit / d mu), for every mu < 0.
 
-    Each call is one _gauss_kronrod pass with two owners over the same panels
-    of [0, q_max]: owner 0 integrates w(q) n and owner 1 w(q) beta n (n + 1),
-    with w the density-of-states measure (_ids_weight_q) and n the Bose
-    occupation at beta (q^2 - mu). Neither q_max nor the panels depend on
-    mu < 0: they are cut at _interior_points of mu = -1/beta, the first Newton
+    Each call is one _integrate_panels pass with two owners over the same
+    panels of [0, q_max]: owner 0 integrates w(q) n and owner 1 w(q) beta n
+    (n + 1), with w the density-of-states measure (_ids_weight_q) and n the
+    Bose occupation at beta (q^2 - mu). Neither q_max nor the panels depend on
+    mu < 0: they are cut at _limit_knots of mu = -1/beta, the first Newton
     point of solve_mu_limit, and each call bisects what fails at its own mu.
     """
-    qmax = _q_max(beta, -1.0, intensity)
-    edges = np.array([0.0, *_interior_points(beta, -1.0 / beta, qmax), qmax])
-    count = edges.size - 1
-    a, b, owners = np.tile(edges[:-1], 2), np.tile(edges[1:], 2), np.repeat([0, 1], count)
+    knots = _limit_knots(beta, -1.0 / beta, intensity)
 
     def density(mu: float) -> tuple[float, float]:
         def integrand(q, owner):
             n = _bose_occupations(beta * (q * q - mu))
             return _ids_weights_q(q, intensity) * n * np.where(owner == 0, 1.0, beta * (n + 1.0))
 
-        value, _, _ = _gauss_kronrod(
-            integrand, a, b, owners, 2, _QUAD_OPTS["epsabs"] / count, _QUAD_OPTS["epsrel"]
-        )
-        return float(value[0]), float(value[1])
+        return tuple(_integrate_panels(integrand, knots, 2, **_TOLERANCE))
 
     return density
 
@@ -367,18 +360,16 @@ def critical_density_bound(params: ModelParams, beta: float, amplitude: float) -
     e_split = (math.pi * amplitude / 8.0) ** 2
     emax = EXP_CUTOFF / beta
 
-    def low(energy: float) -> float:
-        if energy <= 0.0:
-            return 0.0
-        exponent = lam * (C / math.sqrt(energy) - 4.0 / amplitude)
-        return lam * _bose_factor(exponent) * beta * _bose_slope(beta * energy)
+    def low(energy, _):
+        exponent = lam * (C / np.sqrt(energy) - 4.0 / amplitude)
+        return lam * _bose_occupations(exponent) * beta * _bose_slopes(beta * energy)
 
-    def high(energy: float) -> float:
-        return math.sqrt(energy) / C * beta * _bose_slope(beta * energy)
+    def high(energy, _):
+        return np.sqrt(energy) / C * beta * _bose_slopes(beta * energy)
 
-    first, _ = quad(low, 0.0, min(e_split, emax), **_QUAD_OPTS)
+    first = _integrate_panels(low, [0.0, min(e_split, emax)], 1, **_TOLERANCE)[0]
     second = 0.0
     if e_split < emax:
         pts = [p for p in (1.0 / beta,) if e_split < p < emax]
-        second, _ = quad(high, e_split, emax, points=pts, **_QUAD_OPTS)
+        second = _integrate_panels(high, [e_split, *pts, emax], 1, **_TOLERANCE)[0]
     return first + second

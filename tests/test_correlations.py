@@ -31,11 +31,13 @@ PARAMS = ModelParams(1.0)
 
 
 def free_kernel_gaussian_sum(beta, mu, r, terms=1200):
-    """Heat-kernel series oracle: sum_s e^{beta mu s} (2 pi beta s)^{-1/2} e^{-r^2/(2 beta s)}."""
-    return math.fsum(
-        math.exp(beta * mu * s - r * r / (2.0 * beta * s)) / math.sqrt(2.0 * math.pi * beta * s)
-        for s in range(1, terms + 1)
-    )
+    """Heat-kernel series oracle: sum_s e^{beta mu s} (2 pi beta s)^{-1/2} e^{-r^2/(2 beta s)}.
+
+    Every term is positive, so numpy's pairwise sum is exact to ~20 ulp of the total.
+    """
+    s = np.arange(1.0, terms + 1.0)
+    values = np.exp(beta * mu * s - r * r / (2.0 * beta * s)) / np.sqrt(2.0 * np.pi * beta * s)
+    return float(np.sum(values))
 
 
 class TestKernelFinite:
@@ -259,6 +261,22 @@ class TestFreeKernel:
             for s in range(1, 1200)
         )
         assert abs(free_kernel(beta, mu, r) - wrong) > 0.02 * wrong
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 4.0, 30.0, 1e3])
+    @pytest.mark.parametrize("beta_mu", [-0.01, -0.1, -0.5, -1.0, -3.0, -30.0])
+    def test_meets_its_tolerance_against_the_heat_kernel_series(self, beta, beta_mu):
+        # the series to e^{-800} of its first term; QAWO at every r, omega = 0 at r = 0
+        mu = beta_mu / beta
+        terms = math.ceil(800.0 / abs(beta_mu)) + 10
+        for r in (0.0, 0.1, 1.0, 5.0, 20.0, 50.0, 100.0, 200.0):
+            exact = free_kernel_gaussian_sum(beta, mu, r, terms)
+            assert abs(free_kernel(beta, mu, r) - exact) <= 1e-12 * abs(exact) + 1e-14
+
+    @pytest.mark.xfail(strict=True, reason="QAWO's roundoff floor at beta <= 1e-2")
+    def test_small_beta_tail_is_below_the_absolute_tolerance(self):
+        # QAWO returns -7.04e-14 here, where the series gives 1.38e-28
+        exact = free_kernel_gaussian_sum(1e-3, -1.0, 50.0, math.ceil(800.0 / 1e-3) + 10)
+        assert abs(free_kernel(1e-3, -1.0, 50.0) - exact) <= 1e-12 * abs(exact) + 1e-14
 
     def test_weak_disorder_recovers_free_kernel(self):
         weak = kernel_limit(ModelParams(1e-3), 1.0, -0.5, 1.0)

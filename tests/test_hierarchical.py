@@ -343,13 +343,15 @@ class TestClassifier:
         with pytest.raises(ValueError):
             classify_condensate([profiles[0], profiles[0], profiles[1]])
 
-    def test_short_ladder_type3_reads_as_type1(self):
-        # documented desk-scale ambiguity: if the large-interval count cannot
-        # grow along the ladder, type3 is indistinguishable from type1
-        boxes = (8e3, 2e4, 5e4)  # floor(ln(n+1)) is 8, 9, 10 -> use counts that repeat
-        profiles = [
-            occupation_profile(build_layout("type3", b, 1.0), BETA, RHO) for b in (8e3, 1.7e4, 3.5e4)
-        ]
-        counts = [build_layout("type3", b, 1.0).large_count for b in (8e3, 1.7e4, 3.5e4)]
-        if len(set(counts)) == 1:
-            assert classify_condensate(profiles).label is CondensateType.TYPE_I
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_type3_count_grows_over_every_valid_ladder(self, lam):
+        # the classifier takes 3 or more boxes, each more than twice the last,
+        # so a ladder spans a factor above 4 > e and floor(ln(n + 1)) grows on
+        # it: no valid type3 ladder keeps its large-interval count, so none can
+        # read as type1 for want of growth. The tightest ladders are swept.
+        for smallest in np.geomspace(1.0 / lam, 1e6, 2000)[1:].tolist():
+            boxes = [smallest]
+            for _ in range(2):
+                boxes.append(math.nextafter(2.0 * boxes[-1], math.inf))
+            counts = [build_layout("type3", box, lam).large_count for box in boxes]
+            assert counts[-1] > counts[0], (smallest, counts)

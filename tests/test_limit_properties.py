@@ -79,7 +79,7 @@ def test_critical_density_routes_agree(intensity, beta):
 def test_density_limit_is_the_mu_derivative_of_pressure_limit(intensity, beta, beta_mu):
     # rho = dp/dmu by central differences, as the finite-side property test. The step
     # is 1e-4 of the shorter scale, |mu| or 1/beta, so truncation costs ~2e-9 of rho
-    # and quad's ~1e-15 relative noise on p ~2e-10; the denominator is the float step
+    # and the quadrature's ~1e-15 relative noise on p ~2e-10; the denominator is the float step
     # actually taken. Deep below zero p ~ e^{beta mu}, where ln(1 - e^-x) needs its
     # large-x form log1p(-e^-x): with ln(-expm1(-x)) alone the difference reads 0 at -35.
     params = ModelParams(intensity)

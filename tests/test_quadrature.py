@@ -1,13 +1,21 @@
-"""The batched Gauss-Kronrod quadrature behind the limit kernel routes."""
+"""The batched Gauss-Kronrod quadrature behind the smooth limit integrals.
 
+Only density_limit, the certificate of the limit mu solve, and free_kernel,
+a Fourier-cosine integral for QUADPACK's QAWO, call scipy's quad; a source
+scan keeps it so.
+"""
+
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import bec1d
 from bec1d import ConvergenceError
 from bec1d import numerics
-from bec1d.numerics import _gauss_kronrod
+from bec1d.numerics import _gauss_kronrod, _integrate_panels
 
 
 def integrate(func, a, b, epsabs=1e-14, epsrel=1e-13):
@@ -125,3 +133,43 @@ class TestRoundLimit:
         monkeypatch.setattr(numerics, "_GK_MAX_ROUNDS", 3)
         with pytest.raises(ConvergenceError, match="after 3 rounds"):
             integrate(np.sqrt, 0.0, 1.0, epsabs=1e-12, epsrel=0.0)
+
+
+class TestKnotPanels:
+    def test_splits_the_whole_budget_over_the_panels(self):
+        # quad's bound over the whole range: each knot panel gets epsabs / 3
+        knots = [0.0, 1.0, 2.0, 30.0]
+        (value,) = _integrate_panels(lambda x, _: 1.0 / (1.0 + x * x), knots, 1, 3e-15, 1e-13)
+        direct, _, _ = _gauss_kronrod(
+            lambda x, _: 1.0 / (1.0 + x * x), knots[:-1], knots[1:], np.zeros(3, dtype=int), 1,
+            1e-15, 1e-13,
+        )
+        assert value == float(direct[0])
+        assert value == pytest.approx(math.atan(30.0), rel=1e-13)
+
+    def test_owners_share_the_panels(self):
+        knots = np.array([0.0, 0.5, 2.0])
+        both = _integrate_panels(lambda x, owner: x ** (owner + 1.0), knots, 2, 1e-13, 1e-12)
+        assert both == pytest.approx([2.0, 8.0 / 3.0], rel=1e-14)
+        assert [type(v) for v in both] == [float, float]
+
+
+def test_quad_runs_only_the_certificate_and_the_fourier_kernel():
+    package = pathlib.Path(bec1d.__file__).parent
+    callers, scipy_importers = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in tree.body:
+            if isinstance(func, ast.FunctionDef):
+                callers += [
+                    f"{path.stem}.{func.name}" for node in ast.walk(func)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "quad"
+                ]
+        scipy_importers += [
+            path.stem for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy")
+            or isinstance(node, ast.Import) and any(a.name.startswith("scipy") for a in node.names)
+        ]
+    assert callers == ["correlations.free_kernel", "thermodynamics.density_limit"]
+    assert sorted(set(scipy_importers)) == ["correlations", "thermodynamics"]

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import bisection_reference as ref
@@ -21,7 +22,8 @@ from bec1d import (
     solve_mu_limit,
     solve_type2_coefficient,
 )
-from bec1d import thermodynamics
+from bec1d import numerics, thermodynamics
+from bec1d.numerics import _log_newton
 from util import partition
 
 PARAMS = ModelParams(1.0)
@@ -114,3 +116,57 @@ class TestHierarchicalSolver:
         tol = ref.TYPE2_TOLERANCE * max(1.0, a)
         assert abs(a - ref.type2_coefficient(1.0, beta, rho)) <= tol
         assert ref.type2_total(1.0, beta, a - tol) >= target > ref.type2_total(1.0, beta, a + tol)
+
+
+class TestLogNewtonSafeguards:
+    """_log_newton's exits that no physical density reaches, on synthetic densities."""
+
+    def test_a_density_that_is_not_a_number_raises(self):
+        with pytest.raises(ConvergenceError, match="not a number"):
+            _log_newton(lambda x: (math.nan, 0.0), 1.0, 1.0, 1e-12)
+
+    @pytest.mark.parametrize("gap", [1.0, 1e6])
+    def test_zero_slope_steps_by_one_in_ln_g_and_still_brackets(self, gap):
+        # n = 1 / g with x = -g, root at g = 1000; no slope, so no Newton step:
+        # one unit steps in t = ln g until both bracket ends are finite, then midpoints
+        calls = []
+
+        def density(x):
+            calls.append(-x)
+            return -1.0 / x, 0.0
+
+        x = _log_newton(density, 1e-3, gap, 1e-12)
+        assert abs(x + 1000.0) <= 1e-12 * 1000.0
+        first = [math.log(g) for g in calls[:4]]
+        assert [b - a for a, b in zip(first, first[1:])] == pytest.approx(
+            [1.0 if gap < 1000.0 else -1.0] * 3, abs=1e-12
+        )
+
+    def test_a_density_above_the_target_raises_after_the_step_limit(self):
+        calls = []
+
+        def density(x):
+            calls.append(x)
+            return 1.0, 0.0
+
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            _log_newton(density, 0.5, 1.0, 1e-12)
+        assert len(calls) == numerics._MAX_STEPS
+
+    def test_an_unverified_lower_end_is_evaluated_before_returning(self):
+        # anchor 1: the bracket's lower end g = 4 eps starts unverified. At
+        # g = 1e-4 the density is below the target and the bracket is already
+        # narrower than rtol, so the solver evaluates at g = 4 eps, finds it
+        # above the target and returns from the verified bracket
+        eps4 = 4.0 * float(np.finfo(float).eps)
+        calls = []
+
+        def density(x):
+            g = 1.0 - x
+            calls.append(g)
+            return 1e-15 / g, 1e-15 / (g * g)
+
+        x = _log_newton(density, 1.0, 1e-4, 1e-3, anchor=1.0)
+        assert calls == pytest.approx([1e-4, eps4], rel=1e-9)
+        assert 1.0 - 1e-4 <= x <= 1.0 - eps4
+        assert 1.0 - x == pytest.approx(1e-15, rel=1e-3)

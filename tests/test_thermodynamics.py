@@ -32,9 +32,9 @@ from bec1d.numerics import EXP_CUTOFF, _bose_factor, _bose_slope
 from bec1d.thermodynamics import (
     _ids_weight_q,
     _limit_density,
-    _limit_integral,
     _q_max,
 )
+from limit_quad_reference import _limit_integral
 from util import partition, quad_bound
 
 PARAMS = ModelParams(1.0)
@@ -291,6 +291,8 @@ class TestMuSolvers:
 
         monkeypatch.setattr(thermodynamics, "quad", counted)
         mu = solve_mu_limit(PARAMS, 1.0, rho)
+        pressure_limit(PARAMS, 1.0, mu)
+        critical_density_by_parts(PARAMS, 1.0)
         assert calls == []
         density_limit(PARAMS, 1.0, mu)  # the independent certificate stays on quad
         assert len(calls) == 1
@@ -402,3 +404,20 @@ class TestCriticalDensityBound:
         mid = critical_density_bound(PARAMS, 1.0, 0.1)
         assert small > mid
         assert small > 100.0
+
+    @pytest.mark.parametrize("lam, beta, amplitude, exact", [
+        # mpmath at 30 digits; at small beta a^2 the integrand above the split
+        # peaks like E^(-3/2) within (pi a / 8)^2 of it, where quad returned
+        # negative "bounds" (-18.42 at the first point) with a divergence warning
+        (1.0, 1e-3, 1e-3, 2292618.2496632507),
+        (1.0, 1e-2, 1e-3, 229257.84132872311),
+        (1.0, 1e-2, 1e-2, 22920.540758450875),
+        (1.0, 1.0, 1e-3, 2292.0540758450875),
+        (0.1, 1e-2, 1e-2, 22920.542245478084),
+        (10.0, 1e-2, 1e-2, 22920.540758450875),
+    ])
+    def test_peak_at_the_split_is_resolved(self, lam, beta, amplitude, exact):
+        params = ModelParams(lam)
+        bound = critical_density_bound(params, beta, amplitude)
+        assert bound == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert critical_density(params, beta) <= bound
