@@ -152,7 +152,8 @@ def ground_state_share(
     tie = top_two.size == 2 and abs(top_two[1] - top_two[0]) < 1e-12 * top_two[1]
     if window.size == 0:
         return GroundStateShare(math.nan, tie, 0)
-    # a non-empty window holds the lowest level, first among equals as in the table
+    # a non-empty window holds the lowest level; levels tied with it have its occupation,
+    # so which of them argmin picks does not matter, whatever the table's order
     return GroundStateShare(float(occ[np.argmin(window)] / occ.sum()), tie, window.size)
 
 

@@ -55,8 +55,11 @@ class ModelParams:
 class LevelTable:
     """Every level E = (C s / L)^2 of a partition below a cutoff, with its interval length L.
 
-    Grouped by interval; the wave number pi s / L is sqrt(2 E). One table is the
-    state of a realization that every finite observable reads (see level_table).
+    Mode-major: block s holds the s-th level of every interval that has one,
+    longest interval first, so the ground level and the longest length come
+    first. The wave number pi s / L is sqrt(2 E). One table is the state of a
+    realization that every finite observable reads, in any order (see
+    level_table).
     """
 
     energies: np.ndarray
@@ -66,11 +69,11 @@ class LevelTable:
 
     @functools.cached_property
     def ground_energy(self) -> float:
-        return float(self.energies.min())
+        return float(self.energies[0])
 
     @functools.cached_property
     def longest_length(self) -> np.float64:
-        return self.lengths.max()
+        return self.lengths[0]
 
 
 def dirichlet_eigenvalue(length: float, mode: int) -> float:
@@ -115,23 +118,28 @@ def counting_function(partition: IntervalPartition, energy: float) -> float:
 
 
 def build_level_table(partition: IntervalPartition, energy_cutoff: float) -> LevelTable:
-    """Enumerate every level with energy strictly below energy_cutoff, grouped by interval.
+    """Enumerate every level with energy strictly below energy_cutoff, mode by mode.
 
-    An interval without such a level is absent; DomainError if no interval has one.
+    Block s holds the levels (C s / L)^2 of every interval with at least s
+    such levels, longest interval first, so each block ascends and the table
+    starts at its ground level. An interval without such a level is absent;
+    DomainError if no interval has one.
     """
     _require_positive("energy_cutoff", energy_cutoff)
-    counts = _modes_below(partition.lengths, energy_cutoff)  # a float count cannot wrap
+    lengths = np.sort(partition.lengths)[::-1]
+    counts = _modes_below(lengths, energy_cutoff)  # a float count cannot wrap
     if not 0 < counts.sum() <= MAX_LEVELS:
         raise DomainError(f"{counts.sum():.3g} levels below {energy_cutoff:g}, not 1..{MAX_LEVELS}")
-    counts = counts.astype(np.int64)
-    lens = np.repeat(partition.lengths, counts)
-    counts = counts[counts > 0]
-    energies = np.ones(lens.size)
-    # modes run 1..count within each interval block, as exact floats to scale in place
-    energies[np.cumsum(counts)[:-1]] -= counts[:-1]
-    np.cumsum(energies, out=energies)
-    energies *= C  # (C s / L)^2 in place
-    np.square(np.divide(energies, lens, out=energies), out=energies)
+    # counts fall with the length, so the intervals with at least s levels are a
+    # prefix of them; a prefix of m intervals ends where the count drops, and
+    # serves as many blocks as it drops by
+    drops = counts - np.append(counts[1:], 0.0)
+    ends = np.flatnonzero(drops)[::-1]
+    prefixes, repeats = ends + 1, drops[ends].astype(np.int64)
+    energies = np.repeat(C * np.arange(1.0, counts[0] + 1.0), np.repeat(prefixes, repeats))
+    lens = np.concatenate([lengths[:m] if k == 1 else np.repeat(lengths[None, :m], k, 0).ravel()
+                           for m, k in zip(prefixes.tolist(), repeats.tolist())])
+    np.square(np.divide(energies, lens, out=energies), out=energies)  # (C s / L)^2 in place
     return LevelTable(energies, lens, partition.total_length, energy_cutoff)
 
 

@@ -35,10 +35,11 @@ step starts from the knots of mu = -1/beta, its first point. density_limit
 (so the critical density) stays on quad over the same knots, the
 independent certificate of the solved mu.
 
-The finite chemical-potential solve splits the level table once, at
-beta (E - E0) = 4 above its ground level E0. For every mu below E0 a level
-above the split has x = beta (E - mu) >= 4, so its Bose factor is the
-geometric series sum_{k=1..10} e^{-k x} with relative remainder
+The finite chemical-potential solve splits the level table once, at the
+energy E0 + 4/beta above its ground level E0, with one comparison per level.
+For every mu below E0 a level at or above the split has x = beta (E - mu) >= 4
+(up to the rounding of E0 + 4/beta), so its Bose factor is the geometric
+series sum_{k=1..10} e^{-k x} with relative remainder
 e^{-10 x} <= e^{-40} ~ 4e-18 (<= 11 e^{-40} ~ 5e-17 for the slope weight
 n (n + 1) = sum k e^{-k x}). Those levels enter every Newton step through the
 ten mu-independent moments Z_k = sum e^{-k beta (E - E0)}, times
@@ -71,7 +72,7 @@ from .spectrum import C, TAIL_EXPONENT, LevelTable, ModelParams, build_level_tab
 
 _TOLERANCE = dict(epsabs=1e-13, epsrel=1e-12)
 _MU_TOLERANCE = 1e-12
-#: table levels with beta (E - E0) at or above this split enter the mu solve through moments
+#: table levels at or above E0 + _SPLIT_EXPONENT / beta enter the mu solve through moments
 _SPLIT_EXPONENT = 4.0
 #: geometric-series terms kept for those levels; the remainder is e^{-40} relative
 _BOSE_TERMS = 10
@@ -219,26 +220,26 @@ def critical_density_by_parts(params: ModelParams, beta: float) -> float:
 def _table_density(table: LevelTable, beta: float):
     """density(mu) -> (density, d density / d mu) of the table, for every mu below ground.
 
-    Levels with beta (E - E0) >= _SPLIT_EXPONENT above the ground level E0
+    Levels at or above E0 + _SPLIT_EXPONENT / beta, with E0 the ground level,
     enter through the mu-independent moments Z_k = sum e^{-k beta (E - E0)},
     k = 1.._BOSE_TERMS, built once; the rest are summed level by level.
     """
     volume = table.total_length
     ground = table.ground_energy
-    x = np.subtract(table.energies, ground)
-    np.multiply(beta, x, out=x)
-    high = x >= _SPLIT_EXPONENT
-    low_energies = np.compress(~high, table.energies)
-    u = np.compress(high, x)
-    del x, high
-    np.negative(u, out=u)
-    np.exp(u, out=u)
+    split = table.energies >= ground + _SPLIT_EXPONENT / beta
+    u = table.energies[split]
+    low_energies = table.energies[np.logical_not(split, out=split)]
+    del split
+    np.subtract(ground, u, out=u)  # beta (E0 - E), then e^{-beta (E - E0)} in place
+    np.exp(np.multiply(beta, u, out=u), out=u)
     moments = np.empty(_BOSE_TERMS)
     moments[0] = u.sum()
-    power = u.copy()
-    for k in range(1, _BOSE_TERMS):
+    power = np.square(u)
+    moments[1] = power.sum()
+    for k in range(2, _BOSE_TERMS):
         power *= u
         moments[k] = power.sum()
+    del u, power  # before the step's work arrays are allocated
     orders = np.arange(1.0, _BOSE_TERMS + 1.0)
     occ, work = np.empty_like(low_energies), np.empty_like(low_energies)  # reused per step
 
@@ -260,7 +261,7 @@ def solve_mu_finite(source: IntervalPartition | LevelTable, beta: float, rho: fl
 
     Newton in ln(ground - mu), slope beta * sum n(n+1) from the same occupations
     n; it stops on a sign-verified bracket of width 1e-12 * max(1, |mu|). Levels
-    at beta (E - E0) >= 4 above the ground level E0 enter through ten Bose
+    at or above E0 + 4/beta, with E0 the ground level, enter through ten Bose
     moments (module docstring), exact to 4e-18 relative per level (5e-17 for
     the slope); each Newton step sums only the levels below that split.
     """

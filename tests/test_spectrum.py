@@ -65,14 +65,13 @@ class TestLevels:
             "energies", "lengths", "total_length", "energy_cutoff"
         ]
         assert table.ground_energy == pytest.approx((C / 3.0) ** 2, rel=1e-15)
-        # the levels (C s / L)^2 <= 30 of each interval, in order, are exactly the table's there
-        levels = [(length, s) for length in (2.0, 3.0)
-                  for s in range(1, 30) if (C * s / length) ** 2 <= 30.0]
-        held = table.energies <= 30.0
-        assert table.energies[held].tolist() == [(C * s / length) ** 2 for length, s in levels]
-        assert table.lengths[held].tolist() == [length for length, _ in levels]
+        # the levels (C s / L)^2 < 30, mode by mode and longest interval first, are the table
+        levels = [(length, s) for s in range(1, 30)
+                  for length in (3.0, 2.0) if (C * s / length) ** 2 < 30.0]
+        assert table.energies.tolist() == [(C * s / length) ** 2 for length, s in levels]
+        assert table.lengths.tolist() == [length for length, _ in levels]
         wave_numbers = [math.pi * s / length for length, s in levels]
-        np.testing.assert_allclose(np.sqrt(2.0 * table.energies[held]), wave_numbers, rtol=1e-15)
+        np.testing.assert_allclose(np.sqrt(2.0 * table.energies), wave_numbers, rtol=1e-15)
         assert all(
             (C * s / length) ** 2 == pytest.approx(dirichlet_eigenvalue(length, s), rel=1e-14)
             for length, s in levels
@@ -116,6 +115,65 @@ class TestLevels:
                     build_level_table(part, empty)
             assert build_level_table(part, np.nextafter(ground, np.inf)).energies.tolist() == \
                 [ground]
+
+
+def level(length, s):
+    """(C s / L)^2 as a table computes it; x ** 2 may round differently from x * x."""
+    wave = C * s / length
+    return wave * wave
+
+
+def mode_count(length, cutoff):
+    """Levels (C s / L)^2 strictly below cutoff, counted one mode at a time."""
+    s = 0
+    while level(length, s + 1) < cutoff:
+        s += 1
+    return s
+
+
+class TestModeMajorTable:
+    """Block s holds the s-th level of every interval with one, longest first."""
+
+    CUTOFF = 300.0  # intervals shorter than C / sqrt(300) ~ 0.128 have no level
+
+    def random_partition(self, seed):
+        rng = np.random.default_rng(seed)
+        lengths = rng.exponential(1.0, 40)
+        ties = [lengths.max(), *lengths[:5]]
+        levelless = rng.uniform(0.01, 0.1, 5)
+        return partition(rng.permutation(np.concatenate([lengths, ties, levelless])))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_block_s_holds_the_intervals_with_s_levels_longest_first(self, seed):
+        part = self.random_partition(seed)
+        table = build_level_table(part, self.CUTOFF)
+        longest_first = sorted(part.lengths.tolist(), reverse=True)
+        counts = [mode_count(length, self.CUTOFF) for length in longest_first]
+        assert min(counts) == 0 and len(set(longest_first)) < len(longest_first)
+        blocks = [[length for length, n in zip(longest_first, counts) if n >= s]
+                  for s in range(1, max(counts) + 1)]
+        assert table.lengths.tolist() == [length for block in blocks for length in block]
+        start = 0
+        for s, block in enumerate(blocks, 1):
+            energies = table.energies[start:start + len(block)]
+            assert energies.tolist() == [level(length, s) for length in block]
+            assert np.all(np.diff(energies) >= 0.0)
+            start += len(block)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_each_interval_holds_its_ladder_bit_for_bit(self, seed):
+        part = self.random_partition(seed)
+        table = build_level_table(part, self.CUTOFF)
+        lengths, ties = np.unique(part.lengths, return_counts=True)
+        for length, tie in zip(lengths.tolist(), ties.tolist()):
+            ladder = [level(length, s) for s in range(1, mode_count(length, self.CUTOFF) + 1)]
+            assert table.energies[table.lengths == length].tolist() == np.repeat(ladder, tie).tolist()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ground_level_and_longest_interval_come_first(self, seed):
+        table = build_level_table(self.random_partition(seed), self.CUTOFF)
+        assert table.ground_energy == table.energies[0] == table.energies.min()
+        assert table.longest_length == table.lengths[0] == table.lengths.max()
 
 
 class TestCountingFunction:

@@ -113,3 +113,14 @@ class TestNoTableSizedTemporaries:
         step = thermodynamics._table_density(table, beta)
         mu = table.ground_energy - 1.0 / beta
         assert traced_peak_rise(lambda: step(mu)) < low * 8
+
+    def test_finite_mu_setup_holds_no_level_sized_float_temporary(self):
+        beta = 0.25
+        table = level_table(sample_poisson_partition(1.0, 6e4, 3), beta)
+        levels = table.energies.size
+        high = np.count_nonzero(table.energies >= table.ground_energy
+                                + thermodynamics._SPLIT_EXPONENT / beta)
+        assert 0 < high < levels
+        # the two compressed parts, the power work array over the high part and a bool mask
+        bound = levels * 8 + high * 8 + levels
+        assert traced_peak_rise(lambda: thermodynamics._table_density(table, beta)) < bound
