@@ -20,7 +20,7 @@ from .poisson_geometry import (
     sample_poisson_partition,
     sample_uniform_partition,
 )
-from .rng import as_generator, trial_rng
+from .rng import trial_rng
 from .spectrum import (
     C,
     C_SQUARED,

@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .errors import ConvergenceError, DomainError, _require_below, _require_positive
 from .poisson_geometry import (
+    MAX_MEAN_IMPURITIES,
     IntervalPartition,
     expected_largest,
     expected_second_largest,
@@ -136,6 +137,7 @@ class ExperimentConfig:
         if self.command == "orderstats":
             if self.k < 2:
                 raise UsageError(f"--k must be >= 2, got {self.k}")
+            _require_below("--k", self.k, MAX_MEAN_IMPURITIES, inclusive=True, error=UsageError)
             if self.seeds < 2:
                 raise UsageError(f"orderstats needs --seeds >= 2, got {self.seeds}")
 

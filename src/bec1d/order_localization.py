@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _require_positive
+from .errors import _require_below, _require_positive
 from .numerics import _integrate_panels, _log1mexps
-from .poisson_geometry import IntervalPartition, poisson_lengths, sample_poisson_partition
+from .poisson_geometry import (MAX_MEAN_IMPURITIES, IntervalPartition, poisson_lengths,
+                               sample_poisson_partition)
 from .rng import trial_rng
 from .spectrum import C, C_SQUARED
 from .thermodynamics import _window_occupations
@@ -54,11 +55,13 @@ def spacing_probability_mc(
     Each trial draws sample_size independent exponential lengths, orders them,
     and compares E(second largest) - E(largest) against
     amplitude / sample_size^(1 - exponent). Trials are chunked but their
-    count, not the chunking, determines the estimate.
+    count, not the chunking, determines the estimate. DomainError, before any
+    draw, for a sample_size above MAX_MEAN_IMPURITIES.
     """
     threshold = _spacing_threshold(sample_size, amplitude, exponent, intensity)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _require_below("sample_size", sample_size, MAX_MEAN_IMPURITIES, inclusive=True)
     k = sample_size
     rng = trial_rng(seed, 0)
     hits = 0
@@ -132,9 +135,10 @@ def largest_interval_scaling(
 class GroundStateShare:
     """Share of the low-energy occupation held by the single lowest level.
 
-    `fraction` is NaN when no level lies below the window. `tie` flags two
-    largest intervals equal to within relative 1e-12, where the lowest level
-    is effectively degenerate and the share saturates near 1/2.
+    `fraction` is NaN when no level lies below the window; `window_levels`
+    counts the level table's levels below it (see condensate_finite). `tie`
+    flags two largest intervals equal to within relative 1e-12, where the
+    lowest level is effectively degenerate and the share saturates near 1/2.
     """
 
     fraction: float
@@ -146,15 +150,12 @@ def ground_state_share(
     partition: IntervalPartition, beta: float, rho: float, epsilon: float
 ) -> GroundStateShare:
     """Occupation of the lowest level over the total occupation below epsilon."""
-    window, occ = _window_occupations(partition, beta, rho, epsilon)
-    top_two = np.partition(partition.lengths, partition.lengths.size - 2)[-2:] \
-        if partition.lengths.size >= 2 else partition.lengths
+    occ = _window_occupations(partition, beta, rho, epsilon)
+    top_two = np.partition(partition.lengths, partition.lengths.size - 2)[-2:]  # one length at size 1
     tie = top_two.size == 2 and abs(top_two[1] - top_two[0]) < 1e-12 * top_two[1]
-    if window.size == 0:
+    if occ.size == 0:
         return GroundStateShare(math.nan, tie, 0)
-    # a non-empty window holds the lowest level; levels tied with it have its occupation,
-    # so which of them argmin picks does not matter, whatever the table's order
-    return GroundStateShare(float(occ[np.argmin(window)] / occ.sum()), tie, window.size)
+    return GroundStateShare(float(occ[0] / occ.sum()), tie, occ.size)
 
 
 def ground_state_occupation_fraction(

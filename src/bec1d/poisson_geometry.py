@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _require_positive
-from .rng import as_generator
+from .errors import DomainError, _require_below, _require_positive
 
 # Euler-Mascheroni constant, stored as a literal to keep the module free of
 # runtime special-function dependencies.
@@ -37,7 +36,8 @@ _GAMMA_DERIVATIVES_AT_ONE = (
     EULER_GAMMA**4 + EULER_GAMMA**2 * _PI**2 + 3.0 * _PI**4 / 20.0 + 8.0 * EULER_GAMMA * ZETA_3,
 )
 
-# Largest mean impurity count drawn: its gap arrays take ~0.5 GB each.
+# Largest mean impurity count drawn, and largest order-statistics sample: an
+# array of that many lengths takes 0.5 GB.
 MAX_MEAN_IMPURITIES = 2**26
 
 LOG_MOMENT_MAX_POWER = 4
@@ -99,7 +99,7 @@ def sample_uniform_partition(total_length: float, n_intervals: int, seed) -> Int
     _require_positive("total_length", total_length)
     if n_intervals < 1:
         raise ValueError(f"n_intervals must be >= 1, got {n_intervals}")
-    lengths = _uniform_gaps(n_intervals - 1, total_length, as_generator(seed))
+    lengths = _uniform_gaps(n_intervals - 1, total_length, np.random.default_rng(seed))
     return IntervalPartition(lengths, total_length)
 
 
@@ -115,7 +115,7 @@ def poisson_lengths(intensity: float, total_length: float, rng: np.random.Genera
 
 def sample_poisson_partition(intensity: float, total_length: float, seed) -> IntervalPartition:
     """Poisson(intensity * L) impurities, uniformly placed; zero count gives one interval."""
-    lengths = poisson_lengths(intensity, total_length, as_generator(seed))
+    lengths = poisson_lengths(intensity, total_length, np.random.default_rng(seed))
     return IntervalPartition(lengths, total_length)
 
 
@@ -128,7 +128,8 @@ def sample_ordered_lengths(intensity: float, k: int, seed) -> np.ndarray:
     _require_positive("intensity", intensity)
     if k < 1:
         raise ValueError("k must be >= 1")
-    return np.sort(as_generator(seed).exponential(1.0 / intensity, size=k))[::-1]
+    _require_below("k", k, MAX_MEAN_IMPURITIES, inclusive=True)  # before the draw
+    return np.sort(np.random.default_rng(seed).exponential(1.0 / intensity, size=k))[::-1]
 
 
 def expected_largest(intensity: float, k: int) -> float:

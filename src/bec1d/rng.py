@@ -10,13 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def as_generator(seed) -> np.random.Generator:
-    """Return `seed` itself if it is already a Generator, else build one."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def trial_rng(base_seed: int, trial_index: int) -> np.random.Generator:
     """Independent stream for one trial, keyed by (base_seed, trial_index)."""
     return np.random.default_rng((int(base_seed), int(trial_index)))

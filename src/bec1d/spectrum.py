@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _require_below, _require_positive
+from .errors import ConvergenceError, DomainError, _require_below, _require_positive
 from .numerics import _bose_factor, _bose_slope
 from .poisson_geometry import IntervalPartition
 
@@ -57,9 +57,9 @@ class LevelTable:
 
     Mode-major: block s holds the s-th level of every interval that has one,
     longest interval first, so the ground level and the longest length come
-    first. The wave number pi s / L is sqrt(2 E). One table is the state of a
-    realization that every finite observable reads, in any order (see
-    level_table).
+    first. build_level_table is the only constructor, so that order holds for
+    every table. The wave number pi s / L is sqrt(2 E). One table is the state
+    of a realization that every finite observable reads (see level_table).
     """
 
     energies: np.ndarray
@@ -70,10 +70,6 @@ class LevelTable:
     @functools.cached_property
     def ground_energy(self) -> float:
         return float(self.energies[0])
-
-    @functools.cached_property
-    def longest_length(self) -> np.float64:
-        return self.lengths[0]
 
 
 def dirichlet_eigenvalue(length: float, mode: int) -> float:
@@ -159,7 +155,8 @@ def ids_series(params: ModelParams, energy: float, tolerance: float = 1e-12) -> 
 
     Serves as an independent oracle for ids_limit, so it shares none of its
     Bose forms; truncation stops once the certified geometric tail bound drops
-    below `tolerance` relative to the accumulated sum.
+    below `tolerance` relative to the accumulated sum. ConvergenceError if 100000
+    terms do not reach it, as at high energy, where w nears 1.
     """
     _require_positive("energy", energy, DomainError)
     _require_positive("tolerance", tolerance)
@@ -171,9 +168,9 @@ def ids_series(params: ModelParams, energy: float, tolerance: float = 1e-12) -> 
     for _ in range(100000):
         term *= w
         total += term
-        if term * w / (1.0 - w) <= tolerance * total:
-            break
-    return total
+        if term * w <= tolerance * total * (1.0 - w):  # no division: w may round to 1
+            return total
+    raise ConvergenceError(f"ids_series: 100000 terms miss tolerance {tolerance:g} at {energy:g}")
 
 
 def ids_free(energy: float) -> float:

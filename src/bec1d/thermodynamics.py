@@ -87,18 +87,16 @@ class CondensateReport:
     mu_limit: float
 
 
-def level_table(source: IntervalPartition | LevelTable, beta: float,
-                window: float = 0.0) -> LevelTable:
-    """The level table of a realization, up to max(E0 + TAIL_EXPONENT / beta, window).
+def level_table(source: IntervalPartition | LevelTable, beta: float) -> LevelTable:
+    """The level table of a realization, up to E0 + TAIL_EXPONENT / beta.
 
     A partition is enumerated; a table is returned unchanged if its cutoff
     covers that one (ValueError if not), so one table serves every observable.
     """
     _require_positive("beta", beta)
-    _require_below("window", window, math.inf)
-    longest = source.longest_length if isinstance(source, LevelTable) else source.lengths.max()
+    longest = source.lengths[0] if isinstance(source, LevelTable) else source.lengths.max()
     # one expression for both paths: the scalar (C / L)^2 may be an ulp off the table's E0
-    cutoff = max((C / longest) ** 2 + TAIL_EXPONENT / beta, window)
+    cutoff = (C / longest) ** 2 + TAIL_EXPONENT / beta
     if not isinstance(source, LevelTable):
         return build_level_table(source, cutoff)
     if source.energy_cutoff < cutoff:
@@ -327,25 +325,25 @@ def condensate_density(params: ModelParams, beta: float, rho: float) -> Condensa
 def condensate_finite(
     partition: IntervalPartition, beta: float, rho: float, epsilon: float
 ) -> float:
-    """Occupation density of all levels below the energy window `epsilon`.
+    """Occupation density of the level table's levels below the energy window `epsilon`.
 
     Solves for the finite-volume chemical potential at target density rho
     first. A window below the partition's ground energy is empty and yields
-    exactly zero.
+    exactly zero; one above the table's cutoff E0 + 60/beta sums the whole
+    table, as each level past it holds under e^-60 of the ground occupation.
     """
-    _, occupations = _window_occupations(partition, beta, rho, epsilon)
-    return float(occupations.sum()) / partition.total_length
+    return float(_window_occupations(partition, beta, rho, epsilon).sum()) / partition.total_length
 
 
 def _window_occupations(
     partition: IntervalPartition, beta: float, rho: float, epsilon: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The levels below epsilon and their occupations at the finite mu of density rho."""
+) -> np.ndarray:
+    """Occupations at the finite mu of density rho of the table's levels below epsilon, in order."""
     _require_positive("epsilon", epsilon)
-    table = level_table(partition, beta, epsilon)
+    table = level_table(partition, beta)
     mu = solve_mu_finite(table, beta, rho)
     window = table.energies[table.energies < epsilon]
-    return window, _bose_occupations(beta * (window - mu))
+    return _bose_occupations(beta * (window - mu))
 
 
 def critical_density_bound(params: ModelParams, beta: float, amplitude: float) -> float:

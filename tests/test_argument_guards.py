@@ -106,14 +106,13 @@ MU_CASES = {
     "decay_rate_fit": lambda v: corr.decay_rate_fit(P, 1.0, v, (5.0, 10.0)),
 }
 
-# arguments that must only be finite: separations (either sign) and the table window
+# arguments that must only be finite: separations (either sign)
 FINITE_CASES = {
     "kernel_limit r": lambda v: corr.kernel_limit(P, 1.0, -1.0, v),
     "kernel_limit r series": lambda v: corr.kernel_limit(P, 1.0, -1.0, v, method="series"),
     "kernel_with_condensate r": lambda v: corr.kernel_with_condensate(P, 1.0, 0.1, v),
     "kernel_finite r": lambda v: corr.kernel_finite(PART, 1.0, -1.0, v),
     "free_kernel r": lambda v: corr.free_kernel(1.0, -1.0, v),
-    "level_table window": lambda v: thermo.level_table(PART, 1.0, v),
 }
 
 
@@ -174,6 +173,15 @@ def test_only_poisson_geometry_builds_a_partition():
     builders = [path.name for path in sorted(package.glob("*.py"))
                 if "IntervalPartition(" in path.read_text(encoding="utf-8")]
     assert builders == ["poisson_geometry.py"]
+
+
+def test_only_spectrum_builds_a_level_table():
+    # every reader relies on the order build_level_table gives a table (ground level and
+    # longest interval first), so no other module may construct one
+    package = pathlib.Path(bec1d.__file__).parent
+    builders = [path.name for path in sorted(package.glob("*.py"))
+                if "LevelTable(" in path.read_text(encoding="utf-8")]
+    assert builders == ["spectrum.py"]
 
 
 def test_cli_imports_no_private_name_but_the_guards():

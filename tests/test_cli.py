@@ -454,6 +454,17 @@ class TestOtherCommands:
         assert float(by_name["mean_largest"]["mc_mean"]) == draws[:, 0].mean()
         assert float(by_name["mean_second_largest"]["mc_mean"]) == draws[:, 1].mean()
 
+    def test_orderstats_k_above_the_cap_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # --k 1073741824 asked numpy for an 8.6 GB draw per seed; the rule fires before any run
+        def ran(cfg):
+            raise AssertionError("orderstats ran")
+
+        monkeypatch.setitem(cli._RUNNERS, "orderstats", ran)
+        out = tmp_path / "o.csv"
+        assert run_cli(["orderstats", "--k", str(2**26 + 1), "--out", str(out)]) == 2
+        assert "usage error: --k must lie at or below" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_hierarchy_classification_in_metadata(self, tmp_path):
         out = tmp_path / "h.csv"
         code = run_cli([

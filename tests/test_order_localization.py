@@ -6,17 +6,24 @@ import numpy as np
 import pytest
 
 from bec1d import (
+    DomainError,
     condensate_finite,
     critical_density,
     ground_state_occupation_fraction,
     ground_state_share,
     largest_interval_scaling,
+    level_table,
     ModelParams,
+    order_localization,
+    sample_poisson_partition,
+    solve_mu_finite,
     spacing_probability_exact,
     spacing_probability_mc,
     trial_rng,
 )
-from util import ks_distance, partition
+from bec1d.numerics import _bose_occupations
+from bec1d.poisson_geometry import MAX_MEAN_IMPURITIES
+from util import DrawlessGenerator, ks_distance, partition
 
 RHO_C = critical_density(ModelParams(1.0), 1.0)
 
@@ -28,6 +35,14 @@ class TestSpacingProbability:
                                      trials=200_000, seed=17)
         exact = spacing_probability_exact(k, 1.0, 0.5, 1.0)
         assert est.probability == pytest.approx(exact, abs=4 * est.std_error)
+
+    def test_a_sample_above_the_cap_raises_before_drawing(self, monkeypatch):
+        # the exact quadrature stays uncapped: acceptance check 11 reads it at k = 1e12
+        monkeypatch.setattr(order_localization, "trial_rng",
+                            lambda *seed: DrawlessGenerator(np.random.PCG64(0)))
+        with pytest.raises(DomainError, match="sample_size must lie at or below"):
+            spacing_probability_mc(MAX_MEAN_IMPURITIES + 1, 1.0, 0.5, 1.0, trials=1)
+        assert 0.0 < spacing_probability_exact(MAX_MEAN_IMPURITIES + 1, 1.0, 0.5, 1.0) < 1.0
 
     def test_monotone_non_increasing_in_amplitude(self):
         exact = [spacing_probability_exact(50, a, 0.5, 1.0) for a in (0.25, 1.0, 4.0)]
@@ -139,6 +154,20 @@ class TestGroundStateShare:
         for s in shares:
             assert s.window_levels > 0
             assert 0.0 <= s.fraction <= 1.0
+
+    def test_the_share_reads_the_first_window_level(self):
+        # the table starts at its ground level and the window mask keeps that order,
+        # so the first window level is the one argmin of the window energies picks
+        beta, rho, epsilon = 1.0, 2.0 * RHO_C, 0.5
+        for seed in range(20):
+            part = sample_poisson_partition(1.0, 500.0, seed)
+            table = level_table(part, beta)
+            mu = solve_mu_finite(table, beta, rho)
+            window = table.energies[table.energies < epsilon]
+            occ = _bose_occupations(beta * (window - mu))
+            share = ground_state_share(part, beta, rho, epsilon)
+            assert share.window_levels == window.size > 0
+            assert share.fraction == float(occ[np.argmin(window)] / occ.sum())
 
     def test_epsilon_validation(self):
         # NaN fails every comparison: an `epsilon <= 0` guard reads it as an empty window

@@ -23,8 +23,8 @@ from bec1d import (
     trial_rng,
 )
 from bec1d.errors import DomainError
-from bec1d.poisson_geometry import poisson_lengths
-from util import ks_distance
+from bec1d.poisson_geometry import MAX_MEAN_IMPURITIES, poisson_lengths
+from util import DrawlessGenerator, ks_distance
 
 
 class TestSampling:
@@ -215,6 +215,21 @@ class TestOrderStatistics:
         sample = sample_ordered_lengths(2.0, 50, seed=9)
         assert sample.shape == (50,)
         assert np.all(np.diff(sample) <= 0)
+
+    def test_a_sample_above_the_cap_raises_before_drawing(self):
+        # 2**26 + 1 lengths would be a 0.5 GB draw; orderstats --k 2**30 asked for 8.6 GB
+        rng = DrawlessGenerator(np.random.PCG64(0))
+        with pytest.raises(DomainError, match="k must lie at or below"):
+            sample_ordered_lengths(2.0, MAX_MEAN_IMPURITIES + 1, rng)
+
+    def test_a_generator_seed_is_drawn_from_as_given(self):
+        # a Generator passed as the seed is the stream drawn from, not a copy of it
+        for sample in (lambda seed: sample_poisson_partition(1.0, 50.0, seed).lengths,
+                       lambda seed: sample_ordered_lengths(2.0, 9, seed)):
+            rng = np.random.default_rng(5)
+            first, second = sample(rng), sample(rng)
+            assert np.array_equal(first, sample(5))
+            assert not np.array_equal(second, first)
 
 
 class TestLogMoments:

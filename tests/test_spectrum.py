@@ -14,6 +14,7 @@ from bec1d import spectrum
 from bec1d import (
     C,
     C_SQUARED,
+    ConvergenceError,
     DomainError,
     LevelTable,
     ModelParams,
@@ -173,7 +174,7 @@ class TestModeMajorTable:
     def test_ground_level_and_longest_interval_come_first(self, seed):
         table = build_level_table(self.random_partition(seed), self.CUTOFF)
         assert table.ground_energy == table.energies[0] == table.energies.min()
-        assert table.longest_length == table.lengths[0] == table.lengths.max()
+        assert table.lengths[0] == table.lengths.max()
 
 
 class TestCountingFunction:
@@ -207,9 +208,16 @@ class TestIdsLimit:
     def test_series_oracle_agreement(self):
         for lam in (0.3, 1.0, 2.5):
             params = ModelParams(lam)
-            for energy in (0.05, 0.5, 1.0, 7.0, 40.0):
+            for energy in (0.05, 0.5, 1.0, 7.0, 40.0, 1e6):
                 series = ids_series(params, energy, tolerance=1e-13)
                 assert ids_limit(params, energy) == pytest.approx(series, rel=1e-12)
+
+    @pytest.mark.parametrize("energy", [1e8, 1e10, 1e12])
+    def test_series_raises_where_its_terms_miss_the_tolerance(self, energy):
+        # w = e^{-C / sqrt(E)} nears 1, so 1e5 terms stopped short of the tolerance and
+        # returned partial sums 2.2e-10, 10.8% and 80% below ids_limit
+        with pytest.raises(ConvergenceError, match="100000 terms"):
+            ids_series(ModelParams(1.0), energy)
 
     def test_half_weight_energy_gives_intensity(self):
         lam = 1.7

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from bec1d import (
     C,
     CondensateReport,
+    build_level_table,
     DomainError,
     ModelParams,
     condensate_density,
@@ -28,7 +29,7 @@ from bec1d import (
 )
 from bec1d import thermodynamics
 from bec1d.correlations import _limit_integrand
-from bec1d.numerics import EXP_CUTOFF, _bose_factor, _bose_slope
+from bec1d.numerics import EXP_CUTOFF, _bose_factor, _bose_occupations, _bose_slope
 from bec1d.thermodynamics import (
     _ids_weight_q,
     _limit_density,
@@ -78,10 +79,10 @@ class TestLevelTable:
     PART = sample_poisson_partition(1.0, 300.0, 13)
 
     def test_a_covering_table_is_returned_unchanged(self):
-        table = level_table(self.PART, 1.0, 0.5)
-        assert level_table(table, 1.0, 0.5) is table
+        table = level_table(self.PART, 1.0)
+        assert table.lengths[0] == self.PART.lengths.max()
+        assert level_table(table, 1.0) is table
         assert level_table(table, 2.0) is table
-        assert level_table(table, 1.0, 0.1) is table
 
     def test_observables_on_the_table_equal_those_on_the_partition(self):
         table = level_table(self.PART, 1.0)
@@ -101,19 +102,12 @@ class TestLevelTable:
         assert solve_mu_finite(table, 1.0, 0.1) == solve_mu_finite(part, 1.0, 0.1)
         assert condensate_finite(part, 1.0, 0.1, 0.5) > 0.0
 
-    def test_the_longest_length_is_cached_on_the_table(self):
-        table = level_table(self.PART, 1.0)
-        assert level_table(table, 1.0) is table
-        assert vars(table)["longest_length"] == self.PART.lengths.max()
-
     def test_rejects_a_table_that_ends_too_low(self):
         table = level_table(self.PART, 2.0)
         with pytest.raises(ValueError, match="table ends"):
             level_table(table, 1.0)
         with pytest.raises(ValueError, match="table ends"):
             solve_mu_finite(table, 1.0, 0.4)
-        with pytest.raises(ValueError, match="table ends"):
-            level_table(table, 2.0, table.energy_cutoff * 2.0)
 
     def test_rejects_non_positive_beta(self):
         table = level_table(self.PART, 1.0)
@@ -378,6 +372,18 @@ class TestCondensate:
         part = sample_poisson_partition(1.0, 300.0, 13)
         rho = 0.4
         assert condensate_finite(part, 1.0, rho, epsilon=1e9) == pytest.approx(rho, rel=2e-9)
+
+    def test_a_window_above_the_table_cutoff_reads_the_one_table(self):
+        # at beta = 200 the table ends at E0 + 0.3 < 1: the window sums that table, and
+        # a table cut at the window adds levels that hold under e^-60 of the ground level
+        part, beta, rho, epsilon = sample_poisson_partition(1.0, 300.0, 13), 200.0, 0.4, 1.0
+        cutoff = level_table(part, beta).energy_cutoff
+        assert cutoff < epsilon
+        reference = build_level_table(part, max(epsilon, cutoff))
+        mu = solve_mu_finite(reference, beta, rho)
+        window = reference.energies[reference.energies < epsilon]
+        expected = float(_bose_occupations(beta * (window - mu)).sum()) / part.total_length
+        assert condensate_finite(part, beta, rho, epsilon) == pytest.approx(expected, rel=1e-15)
 
     def test_wide_interval_partition_captures_the_condensate(self):
         # one 30-length interval among 20000 unit intervals: the window below

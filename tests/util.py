@@ -16,6 +16,13 @@ def partition(lengths) -> IntervalPartition:
     return IntervalPartition(lengths, float(lengths.sum()))
 
 
+class DrawlessGenerator(np.random.Generator):
+    """A Generator on which any exponential draw fails the test: a guard must fire first."""
+
+    def exponential(self, *args, **kwargs):
+        raise AssertionError("drew before the sample-size guard")
+
+
 def ks_distance(samples: np.ndarray, cdf) -> float:
     """Kolmogorov-Smirnov sup distance between an empirical sample and a CDF."""
     x = np.sort(np.asarray(samples, dtype=float))
