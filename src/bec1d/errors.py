@@ -37,5 +37,5 @@ def _require_below(name: str, value: float, bound: float, inclusive: bool = Fals
     """Raise `error` unless value is finite and below bound (or at it, if inclusive)."""
     if not (math.isfinite(value) and (value <= bound if inclusive else value < bound)):
         where = "be finite" if bound == math.inf else \
-            f"lie {'at or ' if inclusive else ''}below {bound:g}"
+            f"lie {'at or ' if inclusive else ''}below {bound}"
         raise error(f"{name} must {where}, got {value}")

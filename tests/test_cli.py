@@ -462,7 +462,8 @@ class TestOtherCommands:
         monkeypatch.setitem(cli._RUNNERS, "orderstats", ran)
         out = tmp_path / "o.csv"
         assert run_cli(["orderstats", "--k", str(2**26 + 1), "--out", str(out)]) == 2
-        assert "usage error: --k must lie at or below" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage error: --k must lie at or below 67108864, got 67108865" in err
         assert not out.exists()
 
     def test_hierarchy_classification_in_metadata(self, tmp_path):

@@ -40,7 +40,7 @@ class TestSpacingProbability:
         # the exact quadrature stays uncapped: acceptance check 11 reads it at k = 1e12
         monkeypatch.setattr(order_localization, "trial_rng",
                             lambda *seed: DrawlessGenerator(np.random.PCG64(0)))
-        with pytest.raises(DomainError, match="sample_size must lie at or below"):
+        with pytest.raises(DomainError, match="sample_size must lie at or below 67108864,"):
             spacing_probability_mc(MAX_MEAN_IMPURITIES + 1, 1.0, 0.5, 1.0, trials=1)
         assert 0.0 < spacing_probability_exact(MAX_MEAN_IMPURITIES + 1, 1.0, 0.5, 1.0) < 1.0
 
