@@ -232,8 +232,7 @@ def _run_thermo(cfg: ExperimentConfig):
 
     rows = _mc_rows(cfg, "box_length", cfg.l_ladder or [cfg.box_length], per_trial,
                     lambda _: analytic_value, observable=observable)
-    meta = {"critical_density": critical_density(params, cfg.beta)}
-    return rows, meta
+    return rows, {"critical_density": critical_density(params, cfg.beta)}
 
 
 def _run_correlate(cfg: ExperimentConfig):
@@ -257,8 +256,7 @@ def _run_correlate(cfg: ExperimentConfig):
 
 def _run_hierarchy(cfg: ExperimentConfig):
     rho_c = hierarchical_critical_density(cfg.intensity, cfg.beta)
-    rows = []
-    profiles = []
+    rows, profiles = [], []
     for box in cfg.l_ladder:
         try:
             layout = build_layout(cfg.kind, box, cfg.intensity, cfg.m_large)
@@ -289,8 +287,7 @@ def _run_hierarchy(cfg: ExperimentConfig):
 def _run_orderstats(cfg: ExperimentConfig):
     lam, k = cfg.intensity, cfg.k
     delta = cfg.delta if cfg.delta is not None else 1.0 / lam
-    largest = np.empty(cfg.seeds)
-    second = np.empty(cfg.seeds)
+    largest, second = np.empty(cfg.seeds), np.empty(cfg.seeds)
     for t in range(cfg.seeds):
         largest[t], second[t] = sample_ordered_lengths(lam, k, trial_rng(cfg.base_seed, t))[:2]
     gap = largest - second
@@ -302,18 +299,16 @@ def _run_orderstats(cfg: ExperimentConfig):
         ("gap_exceedance", float((gap > delta).mean()), float("nan"),
          gap_exceedance_probability(lam, delta)),
     ]
-    rows = []
-    for name, mc, std, analytic in stats:
-        rows.append({
-            "statistic": name,
-            "k": k,
-            "trials": cfg.seeds,
-            "mc_mean": float(mc),
-            "mc_std": float(std) if np.isfinite(std) else None,
-            "analytic": analytic,
-            "rel_deviation": _rel_dev(float(mc), analytic),
-            "status": "ok",
-        })
+    rows = [{
+        "statistic": name,
+        "k": k,
+        "trials": cfg.seeds,
+        "mc_mean": float(mc),
+        "mc_std": float(std) if np.isfinite(std) else None,
+        "analytic": analytic,
+        "rel_deviation": _rel_dev(float(mc), analytic),
+        "status": "ok",
+    } for name, mc, std, analytic in stats]
     return rows, {"delta": delta}
 
 
@@ -346,14 +341,8 @@ _RUNNERS = {
 
 
 def _write_csv(path: str, rows: list[dict]):
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in columns))
+    columns = list(dict.fromkeys(key for row in rows for key in row))
+    lines = [",".join(columns)] + [",".join(_fmt(row.get(col)) for col in columns) for row in rows]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -378,10 +367,7 @@ def run(config: ExperimentConfig) -> int:
         return 3
     elapsed = time.perf_counter() - start
     try:
-        if config.format == "csv":
-            _write_csv(config.out, rows)
-        else:
-            _write_json(config.out, rows)
+        (_write_csv if config.format == "csv" else _write_json)(config.out, rows)
         metadata = {
             "command": config.command,
             "config": asdict(config),
@@ -454,11 +440,8 @@ def build_config(argv: list[str]) -> ExperimentConfig:
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
         settings.update(loaded)
-    for key, value in vars(args).items():
-        if key == "config":
-            continue
-        if value is not None:
-            settings[key] = value
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key != "config" and value is not None)
     unknown = set(settings) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, _require_below, _require_positive
 from .numerics import _bose_occupations, _log_newton
-from .spectrum import C, C_SQUARED, TAIL_EXPONENT, _modes_below
+from .spectrum import C_SQUARED, _towers
 
 _MU_TOLERANCE = 1e-14
 
@@ -116,17 +116,9 @@ def build_layout(
     )
 
 
-def _towers(lengths: np.ndarray, cutoff: float) -> list[np.ndarray]:
-    """The levels (C s / L)^2 of each length L strictly below cutoff, counted as a level
-    table counts them (_modes_below): an interval without such a level has an empty tower."""
-    return [np.square(C * np.arange(1.0, n + 1.0) / length)
-            for length, n in zip(lengths, _modes_below(lengths, cutoff))]
-
-
 def _layout_towers(layout: HierarchicalLayout, beta: float) -> list[np.ndarray]:
-    """Towers of one large and one small interval below E0 + TAIL_EXPONENT / beta."""
-    cutoff = layout.ground_energy + TAIL_EXPONENT / beta
-    return _towers(np.array([layout.large_length, layout.small_length]), cutoff)
+    """Towers of one large and one small interval, cut as a level table of the two is."""
+    return _towers(np.array([layout.large_length, layout.small_length]), beta)
 
 
 def _layout_density(layout: HierarchicalLayout, beta: float):
@@ -154,10 +146,10 @@ def hierarchical_density(layout: HierarchicalLayout, beta: float, mu: float) -> 
 def hierarchical_critical_density(intensity: float, beta: float) -> float:
     """Limiting critical density, the same for all three layout kinds: intensity * sum_s
     1 / (exp(beta E_s) - 1) over the tower E_s = (C s / intensity)^2 of one interval of
-    length intensity, below its ground plus TAIL_EXPONENT / beta."""
+    length intensity, cut as a level table of that interval is."""
     _require_positive("intensity", intensity)
     _require_positive("beta", beta)
-    (tower,) = _towers(np.array([intensity]), C_SQUARED / intensity**2 + TAIL_EXPONENT / beta)
+    (tower,) = _towers(np.array([intensity]), beta)
     return intensity * float(_bose_occupations(beta * tower).sum())
 
 

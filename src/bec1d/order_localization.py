@@ -64,8 +64,7 @@ def spacing_probability_mc(
     _require_below("sample_size", sample_size, MAX_MEAN_IMPURITIES, inclusive=True)
     k = sample_size
     rng = trial_rng(seed, 0)
-    hits = 0
-    done = 0
+    hits = done = 0
     chunk = max(1, int(5_000_000 // k))
     while done < trials:
         m = min(chunk, trials - done)

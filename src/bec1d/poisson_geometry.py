@@ -99,6 +99,7 @@ def sample_uniform_partition(total_length: float, n_intervals: int, seed) -> Int
     _require_positive("total_length", total_length)
     if n_intervals < 1:
         raise ValueError(f"n_intervals must be >= 1, got {n_intervals}")
+    _require_below("impurity count", n_intervals - 1, MAX_MEAN_IMPURITIES, inclusive=True)
     lengths = _uniform_gaps(n_intervals - 1, total_length, np.random.default_rng(seed))
     return IntervalPartition(lengths, total_length)
 
@@ -132,12 +133,22 @@ def sample_ordered_lengths(intensity: float, k: int, seed) -> np.ndarray:
     return np.sort(np.random.default_rng(seed).exponential(1.0 / intensity, size=k))[::-1]
 
 
+def _harmonic(k: int, first: int = 1) -> float:
+    """sum_{s = first..k} 1/s, first 1 or 2; past 2**16 terms the series ln k + gamma
+    + 1/(2k) - 1/(12k^2) + 1/(120k^4) - 1/(252k^6) + 1 - first, exact to rounding."""
+    if k <= 2**16:
+        return math.fsum(1.0 / s for s in range(first, k + 1))
+    inv = 1.0 / (k * k)
+    tail = 0.5 / k - inv * (1.0 / 12.0 - inv * (1.0 / 120.0 - inv / 252.0))
+    return math.log(k) + (EULER_GAMMA - (first - 1) + tail)
+
+
 def expected_largest(intensity: float, k: int) -> float:
     """Mean of the largest of k exponential interval lengths: H_k / intensity."""
     _require_positive("intensity", intensity)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return math.fsum(1.0 / s for s in range(1, k + 1)) / intensity
+    return _harmonic(k) / intensity
 
 
 def expected_second_largest(intensity: float, k: int) -> float:
@@ -148,7 +159,7 @@ def expected_second_largest(intensity: float, k: int) -> float:
     _require_positive("intensity", intensity)
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    return math.fsum(1.0 / s for s in range(2, k + 1)) / intensity
+    return _harmonic(k, first=2) / intensity
 
 
 def largest_asymptotic(intensity: float, k: int, which: str = "first") -> float:

@@ -53,19 +53,19 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class LevelTable:
-    """Every level E = (C s / L)^2 of a partition below a cutoff, with its interval length L.
+    """Every level E = (C s / L)^2 of a partition below E0 + 60/beta, with its length L.
 
     Mode-major: block s holds the s-th level of every interval that has one,
-    longest interval first, so the ground level and the longest length come
-    first. build_level_table is the only constructor, so that order holds for
-    every table. The wave number pi s / L is sqrt(2 E). One table is the state
-    of a realization that every finite observable reads (see level_table).
+    longest interval first, so the ground level E0 and the longest length come
+    first. build_level_table is the only constructor, so that order and that
+    cutoff hold for every table. The wave number pi s / L is sqrt(2 E). One
+    table is the state of a realization that every finite observable reads.
     """
 
     energies: np.ndarray
     lengths: np.ndarray
     total_length: float
-    energy_cutoff: float
+    beta: float
 
     @functools.cached_property
     def ground_energy(self) -> float:
@@ -113,19 +113,25 @@ def counting_function(partition: IntervalPartition, energy: float) -> float:
     return float(counts.sum()) / partition.total_length
 
 
-def build_level_table(partition: IntervalPartition, energy_cutoff: float) -> LevelTable:
-    """Enumerate every level with energy strictly below energy_cutoff, mode by mode.
+def _level_cutoff(longest: float, beta: float) -> float:
+    """E0 + TAIL_EXPONENT / beta, E0 = (C / longest)^2: where every table and tower ends."""
+    return (C / longest) ** 2 + TAIL_EXPONENT / beta
+
+
+def build_level_table(partition: IntervalPartition, beta: float) -> LevelTable:
+    """Enumerate every level strictly below E0 + TAIL_EXPONENT / beta, mode by mode.
 
     Block s holds the levels (C s / L)^2 of every interval with at least s
     such levels, longest interval first, so each block ascends and the table
-    starts at its ground level. An interval without such a level is absent;
-    DomainError if no interval has one.
+    starts at its ground level E0. An interval without such a level is absent;
+    DomainError if no level is left, as when the cutoff rounds to E0.
     """
-    _require_positive("energy_cutoff", energy_cutoff)
+    _require_positive("beta", beta)
     lengths = np.sort(partition.lengths)[::-1]
-    counts = _modes_below(lengths, energy_cutoff)  # a float count cannot wrap
+    cutoff = _level_cutoff(lengths[0], beta)
+    counts = _modes_below(lengths, cutoff)  # a float count cannot wrap
     if not 0 < counts.sum() <= MAX_LEVELS:
-        raise DomainError(f"{counts.sum():.3g} levels below {energy_cutoff:g}, not 1..{MAX_LEVELS}")
+        raise DomainError(f"{counts.sum():.3g} levels below {cutoff:g}, not 1..{MAX_LEVELS}")
     # counts fall with the length, so the intervals with at least s levels are a
     # prefix of them; a prefix of m intervals ends where the count drops, and
     # serves as many blocks as it drops by
@@ -136,7 +142,15 @@ def build_level_table(partition: IntervalPartition, energy_cutoff: float) -> Lev
     lens = np.concatenate([lengths[:m] if k == 1 else np.repeat(lengths[None, :m], k, 0).ravel()
                            for m, k in zip(prefixes.tolist(), repeats.tolist())])
     np.square(np.divide(energies, lens, out=energies), out=energies)  # (C s / L)^2 in place
-    return LevelTable(energies, lens, partition.total_length, energy_cutoff)
+    return LevelTable(energies, lens, partition.total_length, beta)
+
+
+def _towers(lengths: np.ndarray, beta: float) -> list[np.ndarray]:
+    """Each length's levels (C s / L)^2 in a level table of these lengths, in mode order;
+    an interval without such a level has an empty tower."""
+    cutoff = _level_cutoff(lengths.max(), beta)
+    return [np.square(C * np.arange(1.0, n + 1.0) / length)
+            for length, n in zip(lengths, _modes_below(lengths, cutoff))]
 
 
 def ids_limit(params: ModelParams, energy: float) -> float:

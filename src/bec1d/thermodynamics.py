@@ -88,19 +88,16 @@ class CondensateReport:
 
 
 def level_table(source: IntervalPartition | LevelTable, beta: float) -> LevelTable:
-    """The level table of a realization, up to E0 + TAIL_EXPONENT / beta.
+    """The level table of a realization at beta: every level below E0 + 60/beta.
 
-    A partition is enumerated; a table is returned unchanged if its cutoff
-    covers that one (ValueError if not), so one table serves every observable.
+    A partition is enumerated (build_level_table); a table built at a beta no larger
+    than this one reaches that cutoff, so it is returned unchanged (ValueError if not).
     """
     _require_positive("beta", beta)
-    longest = source.lengths[0] if isinstance(source, LevelTable) else source.lengths.max()
-    # one expression for both paths: the scalar (C / L)^2 may be an ulp off the table's E0
-    cutoff = (C / longest) ** 2 + TAIL_EXPONENT / beta
     if not isinstance(source, LevelTable):
-        return build_level_table(source, cutoff)
-    if source.energy_cutoff < cutoff:
-        raise ValueError(f"the table ends at {source.energy_cutoff:g}, below {cutoff:g}")
+        return build_level_table(source, beta)
+    if source.beta > beta:
+        raise ValueError(f"the table was built at a larger beta, {source.beta:g} > {beta:g}")
     return source
 
 

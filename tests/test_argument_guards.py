@@ -45,7 +45,7 @@ CASES = {
     "solve_mu_hierarchical beta": lambda v: hier.solve_mu_hierarchical(LAYOUT, v, 0.1),
     "solve_type2_coefficient beta": lambda v: hier.solve_type2_coefficient(1.0, v, 1.0),
     "solve_type2_coefficient rho": lambda v: hier.solve_type2_coefficient(1.0, 1.0, v),
-    "build_level_table energy_cutoff": lambda v: spec.build_level_table(PART, v),
+    "build_level_table beta": lambda v: spec.build_level_table(PART, v),
     "ids_series tolerance": lambda v: spec.ids_series(P, 1.0, v),
     "finite_amplitude_threshold amplitude": lambda v: spec.finite_amplitude_threshold(v),
     "sample_ordered_lengths intensity": lambda v: geo.sample_ordered_lengths(v, 3, 0),
@@ -182,6 +182,16 @@ def test_only_spectrum_builds_a_level_table():
     builders = [path.name for path in sorted(package.glob("*.py"))
                 if "LevelTable(" in path.read_text(encoding="utf-8")]
     assert builders == ["spectrum.py"]
+
+
+def test_only_spectrum_applies_the_level_cutoff():
+    # tables and hierarchical towers end at E0 + 60/beta by one rule in spectrum, so no
+    # other module counts modes below an energy or writes the cutoff out itself
+    package = pathlib.Path(bec1d.__file__).parent
+    appliers = [path.name for path in sorted(package.glob("*.py"))
+                if re.search(r"_modes_below|TAIL_EXPONENT\s*/\s*beta",
+                             path.read_text(encoding="utf-8"))]
+    assert appliers == ["spectrum.py"]
 
 
 def test_cli_imports_no_private_name_but_the_guards():

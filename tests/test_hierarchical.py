@@ -23,8 +23,7 @@ from bec1d import (
     solve_mu_hierarchical,
     solve_type2_coefficient,
 )
-from bec1d import hierarchical
-from bec1d.spectrum import TAIL_EXPONENT
+from bec1d import hierarchical, spectrum
 from util import partition
 
 LAM = BETA = 1.0
@@ -85,9 +84,7 @@ class TestTowers:
                 continue
             towers = hierarchical._layout_towers(layout, beta)
             lengths = [layout.large_length, layout.small_length]
-            table = build_level_table(
-                partition(lengths), layout.ground_energy + TAIL_EXPONENT / beta
-            )
+            table = build_level_table(partition(lengths), beta)
             # the table is mode-major: each tower is its interval's levels there, in mode order
             assert layout.large_length != layout.small_length
             for length, tower in zip(lengths, towers):
@@ -98,8 +95,8 @@ class TestTowers:
 
     def test_one_tower_build_per_solve(self, monkeypatch):
         builds, steps = [], []
-        real_modes, real_occupations = hierarchical._modes_below, hierarchical._bose_occupations
-        monkeypatch.setattr(hierarchical, "_modes_below",
+        real_modes, real_occupations = spectrum._modes_below, hierarchical._bose_occupations
+        monkeypatch.setattr(spectrum, "_modes_below",
                             lambda *a: builds.append(1) or real_modes(*a))
         monkeypatch.setattr(hierarchical, "_bose_occupations",
                             lambda x: steps.append(1) or real_occupations(x))

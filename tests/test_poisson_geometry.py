@@ -1,6 +1,7 @@
 """Interval-partition sampling and exact order statistics."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -150,6 +151,18 @@ class TestOrderStatistics:
         assert expected_largest(2.0, 3) == pytest.approx(11.0 / 12.0, rel=1e-15)
         assert expected_second_largest(1.0, 2) == pytest.approx(0.5, rel=1e-15)
 
+    def test_large_k_harmonic_numbers_take_the_asymptotic_series(self):
+        # H_k summed term by term took 0.74 s at k = 2**23; past 2**16 terms the
+        # series is exact to rounding
+        k = 2**20
+        for mean, first in ((expected_largest, 1), (expected_second_largest, 2)):
+            exact = math.fsum(1.0 / s for s in range(first, k + 1))
+            assert abs(mean(1.0, k) - exact) <= 4e-16 * exact
+            start = time.perf_counter()
+            assert mean(2.0, MAX_MEAN_IMPURITIES) == pytest.approx(
+                (math.log(MAX_MEAN_IMPURITIES) + EULER_GAMMA + 1 - first) / 2.0, rel=1e-8)
+            assert time.perf_counter() - start < 0.1
+
     @given(
         lam=st.floats(0.1, 10.0, allow_nan=False),
         k=st.integers(min_value=2, max_value=200_000),
@@ -221,6 +234,12 @@ class TestOrderStatistics:
         rng = DrawlessGenerator(np.random.PCG64(0))
         with pytest.raises(DomainError, match="k must lie at or below 67108864,"):
             sample_ordered_lengths(2.0, MAX_MEAN_IMPURITIES + 1, rng)
+
+    def test_an_impurity_count_above_the_cap_raises_before_drawing(self):
+        # 2**26 + 1 uniform impurities would be a 0.5 GB draw and as much again in gaps
+        rng = DrawlessGenerator(np.random.PCG64(0))
+        with pytest.raises(DomainError, match="impurity count must lie at or below 67108864,"):
+            sample_uniform_partition(1.0, MAX_MEAN_IMPURITIES + 2, rng)
 
     def test_a_generator_seed_is_drawn_from_as_given(self):
         # a Generator passed as the seed is the stream drawn from, not a copy of it

@@ -60,15 +60,18 @@ class TestLevels:
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_level_table_energies(self):
-        part = partition([2.0, 3.0])
-        table = build_level_table(part, 30.0)
+        part, beta = partition([2.0, 3.0]), 2.0
+        table = build_level_table(part, beta)
         assert [f.name for f in dataclasses.fields(LevelTable)] == [
-            "energies", "lengths", "total_length", "energy_cutoff"
+            "energies", "lengths", "total_length", "beta"
         ]
+        assert table.beta == beta
         assert table.ground_energy == pytest.approx((C / 3.0) ** 2, rel=1e-15)
-        # the levels (C s / L)^2 < 30, mode by mode and longest interval first, are the table
+        # the levels (C s / L)^2 < E0 + 60/beta, mode by mode and longest interval
+        # first, are the table
+        cutoff = (C / 3.0) ** 2 + spectrum.TAIL_EXPONENT / beta
         levels = [(length, s) for s in range(1, 30)
-                  for length in (3.0, 2.0) if (C * s / length) ** 2 < 30.0]
+                  for length in (3.0, 2.0) if (C * s / length) ** 2 < cutoff]
         assert table.energies.tolist() == [(C * s / length) ** 2 for length, s in levels]
         assert table.lengths.tolist() == [length for length, _ in levels]
         wave_numbers = [math.pi * s / length for length, s in levels]
@@ -77,45 +80,56 @@ class TestLevels:
             (C * s / length) ** 2 == pytest.approx(dirichlet_eigenvalue(length, s), rel=1e-14)
             for length, s in levels
         )
-        low = build_level_table(part, 10.0)
+        low = build_level_table(part, 6.0)
         assert low.energies[low.energies <= 10.0].tolist() == \
             table.energies[table.energies <= 10.0].tolist()
 
     def test_table_size_guard_raises_before_allocating(self, monkeypatch):
-        # L sqrt(E) / C ~ 4.5e9 levels: 72 GB of energies and lengths
+        # L sqrt(E) / C ~ 4.5e9 levels below E0 + 1e8: 72 GB of energies and lengths
         huge = partition([1e6])
         with pytest.raises(DomainError, match="levels"):
-            build_level_table(huge, 1e8)
+            build_level_table(huge, spectrum.TAIL_EXPONENT / 1e8)
         # a count past the int64 range (beta = 1e-300) must not wrap around the guard
         with pytest.raises(DomainError, match="levels"):
-            build_level_table(partition([2.0]), 6e301)
+            build_level_table(partition([2.0]), 1e-300)
         part = partition([2.0, 3.0])
-        size = build_level_table(part, 30.0).energies.size
+        size = build_level_table(part, 2.0).energies.size
         monkeypatch.setattr(spectrum, "MAX_LEVELS", size)
-        assert build_level_table(part, 30.0).energies.size == size
+        assert build_level_table(part, 2.0).energies.size == size
         monkeypatch.setattr(spectrum, "MAX_LEVELS", size - 1)
         with pytest.raises(DomainError):
-            build_level_table(part, 30.0)
+            build_level_table(part, 2.0)
 
     @pytest.mark.parametrize("intensity", [0.01, 1.0, 100.0])
     @pytest.mark.parametrize("beta", [1e-3, 1.0, 1e3])
     def test_table_holds_exactly_the_levels_below_its_cutoff(self, intensity, beta):
         for seed in range(3):
-            cutoff = (C * intensity) ** 2 + spectrum.TAIL_EXPONENT / beta
-            part = sample_poisson_partition(intensity, min(2000.0, 2e4 * C / math.sqrt(cutoff)),
+            rough = (C * intensity) ** 2 + spectrum.TAIL_EXPONENT / beta
+            part = sample_poisson_partition(intensity, min(2000.0, 2e4 * C / math.sqrt(rough)),
                                             seed)
             table = level_table(part, beta)
-            assert table.energies.max() < table.energy_cutoff
-            count = counting_function(part, table.energy_cutoff) * part.total_length
-            assert table.energies.size == round(count)
             # the ground level in the arithmetic of the table: no level lies below it
             ground = float(np.square(C / part.lengths.max()))
             assert table.ground_energy == ground
-            for empty in (ground, 0.5 * ground):
-                with pytest.raises(DomainError, match="levels below"):
-                    build_level_table(part, empty)
-            assert build_level_table(part, np.nextafter(ground, np.inf)).energies.tolist() == \
-                [ground]
+            cutoff = (C / part.lengths.max()) ** 2 + spectrum.TAIL_EXPONENT / beta
+            assert table.energies.max() < cutoff
+            count = counting_function(part, cutoff) * part.total_length
+            assert table.energies.size == round(count)
+            # a beta with 60/beta below the first gap holds only the ground level; the
+            # gap is read off a table cut past the longest interval's second level 4 E0
+            wide = build_level_table(part, spectrum.TAIL_EXPONENT / (4.0 * ground))
+            gap = np.sort(wide.energies)[1] - ground
+            only_ground = build_level_table(part, 2.0 * spectrum.TAIL_EXPONENT / gap)
+            assert only_ground.energies.tolist() == [ground]
+
+    def test_a_cutoff_that_rounds_to_the_ground_level_holds_no_level(self):
+        # 60/beta is below half an ulp of E0 = (C / 1.5)^2 ~ 1.1, so the cutoff is E0
+        # itself and no level lies strictly below it
+        part = partition([1.5, 1.0])
+        assert (C / 1.5) ** 2 + spectrum.TAIL_EXPONENT / 1e18 == (C / 1.5) ** 2
+        with pytest.raises(DomainError, match="0 levels below"):
+            build_level_table(part, 1e18)
+        assert build_level_table(part, 1e15).energies.size == 1
 
 
 def level(length, s):
@@ -135,7 +149,7 @@ def mode_count(length, cutoff):
 class TestModeMajorTable:
     """Block s holds the s-th level of every interval with one, longest first."""
 
-    CUTOFF = 300.0  # intervals shorter than C / sqrt(300) ~ 0.128 have no level
+    BETA = 0.2  # cut at E0 + 300: intervals shorter than C / sqrt(301) ~ 0.128 have no level
 
     def random_partition(self, seed):
         rng = np.random.default_rng(seed)
@@ -144,12 +158,15 @@ class TestModeMajorTable:
         levelless = rng.uniform(0.01, 0.1, 5)
         return partition(rng.permutation(np.concatenate([lengths, ties, levelless])))
 
+    def cutoff(self, part):
+        return (C / part.lengths.max()) ** 2 + spectrum.TAIL_EXPONENT / self.BETA
+
     @pytest.mark.parametrize("seed", range(8))
     def test_block_s_holds_the_intervals_with_s_levels_longest_first(self, seed):
         part = self.random_partition(seed)
-        table = build_level_table(part, self.CUTOFF)
+        table = build_level_table(part, self.BETA)
         longest_first = sorted(part.lengths.tolist(), reverse=True)
-        counts = [mode_count(length, self.CUTOFF) for length in longest_first]
+        counts = [mode_count(length, self.cutoff(part)) for length in longest_first]
         assert min(counts) == 0 and len(set(longest_first)) < len(longest_first)
         blocks = [[length for length, n in zip(longest_first, counts) if n >= s]
                   for s in range(1, max(counts) + 1)]
@@ -164,15 +181,15 @@ class TestModeMajorTable:
     @pytest.mark.parametrize("seed", range(8))
     def test_each_interval_holds_its_ladder_bit_for_bit(self, seed):
         part = self.random_partition(seed)
-        table = build_level_table(part, self.CUTOFF)
+        table, cutoff = build_level_table(part, self.BETA), self.cutoff(part)
         lengths, ties = np.unique(part.lengths, return_counts=True)
         for length, tie in zip(lengths.tolist(), ties.tolist()):
-            ladder = [level(length, s) for s in range(1, mode_count(length, self.CUTOFF) + 1)]
+            ladder = [level(length, s) for s in range(1, mode_count(length, cutoff) + 1)]
             assert table.energies[table.lengths == length].tolist() == np.repeat(ladder, tie).tolist()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_ground_level_and_longest_interval_come_first(self, seed):
-        table = build_level_table(self.random_partition(seed), self.CUTOFF)
+        table = build_level_table(self.random_partition(seed), self.BETA)
         assert table.ground_energy == table.energies[0] == table.energies.min()
         assert table.lengths[0] == table.lengths.max()
 

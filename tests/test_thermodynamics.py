@@ -30,6 +30,7 @@ from bec1d import (
 from bec1d import thermodynamics
 from bec1d.correlations import _limit_integrand
 from bec1d.numerics import EXP_CUTOFF, _bose_factor, _bose_occupations, _bose_slope
+from bec1d.spectrum import TAIL_EXPONENT
 from bec1d.thermodynamics import (
     _ids_weight_q,
     _limit_density,
@@ -104,10 +105,21 @@ class TestLevelTable:
 
     def test_rejects_a_table_that_ends_too_low(self):
         table = level_table(self.PART, 2.0)
-        with pytest.raises(ValueError, match="table ends"):
+        with pytest.raises(ValueError, match="built at a larger beta"):
             level_table(table, 1.0)
-        with pytest.raises(ValueError, match="table ends"):
+        with pytest.raises(ValueError, match="built at a larger beta"):
             solve_mu_finite(table, 1.0, 0.4)
+
+    def test_a_table_is_reused_at_equal_and_larger_beta(self):
+        # E0 + 60/beta falls as beta grows, so the table at beta holds every level of
+        # the table at a larger beta, and the solve reads it within its own tolerance
+        table = level_table(self.PART, 1.0)
+        assert table.beta == 1.0
+        for beta in (1.0, np.nextafter(1.0, 2.0), 2.0, 1e6):
+            assert level_table(table, beta) is table
+            assert np.isin(level_table(self.PART, beta).energies, table.energies).all()
+            mu = solve_mu_finite(self.PART, beta, 0.4)
+            assert solve_mu_finite(table, beta, 0.4) == pytest.approx(mu, rel=1e-12)
 
     def test_rejects_non_positive_beta(self):
         table = level_table(self.PART, 1.0)
@@ -375,11 +387,10 @@ class TestCondensate:
 
     def test_a_window_above_the_table_cutoff_reads_the_one_table(self):
         # at beta = 200 the table ends at E0 + 0.3 < 1: the window sums that table, and
-        # a table cut at the window adds levels that hold under e^-60 of the ground level
+        # a table cut past the window adds levels that hold under e^-60 of the ground level
         part, beta, rho, epsilon = sample_poisson_partition(1.0, 300.0, 13), 200.0, 0.4, 1.0
-        cutoff = level_table(part, beta).energy_cutoff
-        assert cutoff < epsilon
-        reference = build_level_table(part, max(epsilon, cutoff))
+        assert (C / part.lengths.max()) ** 2 + TAIL_EXPONENT / beta < epsilon
+        reference = build_level_table(part, TAIL_EXPONENT / epsilon)  # cut at E0 + 1
         mu = solve_mu_finite(reference, beta, rho)
         window = reference.energies[reference.energies < epsilon]
         expected = float(_bose_occupations(beta * (window - mu)).sum()) / part.total_length

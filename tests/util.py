@@ -17,10 +17,13 @@ def partition(lengths) -> IntervalPartition:
 
 
 class DrawlessGenerator(np.random.Generator):
-    """A Generator on which any exponential draw fails the test: a guard must fire first."""
+    """A Generator on which any exponential or uniform draw fails the test: a guard must
+    fire first."""
 
     def exponential(self, *args, **kwargs):
         raise AssertionError("drew before the sample-size guard")
+
+    random = exponential
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:
