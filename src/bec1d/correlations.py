@@ -49,7 +49,7 @@ from scipy.integrate import IntegrationWarning, quad
 from .errors import ConvergenceError, _require_below, _require_positive
 from .numerics import EXP_CUTOFF, _bose_factor, _bose_occupations, _gauss_kronrod
 from .poisson_geometry import IntervalPartition
-from .spectrum import C, LevelTable, ModelParams
+from .spectrum import C, LevelTable, ModelParams, _leading_levels
 from .thermodynamics import (
     _q_max,
     condensate_density,
@@ -73,8 +73,9 @@ def kernel_finite(source: IntervalPartition | LevelTable, beta: float, mu: float
     """Space-averaged kernel of one partition, or of its level table, at separation r.
 
     Exactly equals the translation average of the eigenfunction double sum;
-    only intervals longer than r contribute. At r = 0 every weight is exactly 1,
-    so this is density_finite, which is returned.
+    only intervals longer than r contribute. They lead the table's lengths, so
+    their levels and lengths are read off the table by index. At r = 0 every
+    weight is exactly 1, so this is density_finite, which is returned.
     """
     r = abs(float(r))
     _require_below("|r|", r, math.inf)
@@ -82,10 +83,10 @@ def kernel_finite(source: IntervalPartition | LevelTable, beta: float, mu: float
         return density_finite(source, beta, mu)
     table = level_table(source, beta)
     _require_below("mu", mu, table.ground_energy)
-    energies, lens = table.energies, table.lengths
-    keep = lens > r
-    if not keep.all():
-        energies, lens = energies[keep], lens[keep]
+    longer = np.count_nonzero(table.lengths > r)
+    if longer == 0:
+        return 0.0
+    energies, lens = _leading_levels(table, longer)
     occ = np.subtract(energies, mu)  # occupations, k, sin(kr) and weights: four work arrays
     _bose_occupations(np.multiply(beta, occ, out=occ), out=occ)
     k = np.multiply(2.0, energies)

@@ -31,13 +31,12 @@ from .poisson_geometry import IntervalPartition
 C = math.pi / math.sqrt(2.0)
 C_SQUARED = C * C
 
-#: Occupation factors and level counts are truncated once
-#: beta * (E - mu) exceeds this exponent; the discarded tail is below
-#: 1e-20 per level.
-TAIL_EXPONENT = 60.0
+#: Tables and towers end TABLE_EXPONENT / beta above their ground level;
+#: _level_cutoff states the bound on what the levels past it could add.
+TABLE_EXPONENT = 40.0
 
-#: Most levels a table may hold (1 GiB of energies and lengths); a larger one
-#: raises DomainError before anything is allocated, not MemoryError.
+#: Most levels a table may hold (512 MiB of energies); a larger one raises
+#: DomainError before anything is allocated, not MemoryError.
 MAX_LEVELS = 2**26
 
 
@@ -53,17 +52,20 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class LevelTable:
-    """Every level E = (C s / L)^2 of a partition below E0 + 60/beta, with its length L.
+    """Every level E = (C s / L)^2 of a partition below its cutoff (_level_cutoff), 8 bytes each.
 
-    Mode-major: block s holds the s-th level of every interval that has one,
-    longest interval first, so the ground level E0 and the longest length come
-    first. build_level_table is the only constructor, so that order and that
-    cutoff hold for every table. The wave number pi s / L is sqrt(2 E). One
+    `lengths` are the intervals that have a level, longest first, and `counts`
+    their numbers of levels, which fall with the length. `energies` is
+    mode-major: block s holds the s-th level of every interval with at least s
+    levels, a prefix of `lengths`, so each block ascends and the ground level E0
+    comes first. build_level_table is the only constructor, so that order and
+    that cutoff hold for every table. The wave number pi s / L is sqrt(2 E). One
     table is the state of a realization that every finite observable reads.
     """
 
     energies: np.ndarray
     lengths: np.ndarray
+    counts: np.ndarray
     total_length: float
     beta: float
 
@@ -114,12 +116,30 @@ def counting_function(partition: IntervalPartition, energy: float) -> float:
 
 
 def _level_cutoff(longest: float, beta: float) -> float:
-    """E0 + TAIL_EXPONENT / beta, E0 = (C / longest)^2: where every table and tower ends."""
-    return (C / longest) ** 2 + TAIL_EXPONENT / beta
+    """E0 + TABLE_EXPONENT / beta, E0 = (C / longest)^2: where every table and tower ends.
+
+    The cut costs at most a stated share of the density. With y = TABLE_EXPONENT,
+    Ec the cutoff and S = sum e^{-beta (E - E0)} over the levels past it (S_om)
+    or below it (S_kept), for every mu < E0 the levels past the cutoff add at most
+
+        b = S_om / ((1 - e^{-y}) S_kept)
+
+    of the table's density and of its beta p L, since e^{-x} <= n(x),
+    -ln(1 - e^{-x}) <= e^{-x} / (1 - e^{-y}) for x >= y. A kernel weight is at
+    most 1 in size, so the kernel moves by at most b times the density, and the
+    solved mu by at most b / beta (d ln density / d mu >= beta). The levels below E
+    number at most N(E) = L sqrt(E) / C, so by parts
+
+        S_om <= L / (C sqrt(beta)) e^{-y} (sqrt(beta Ec) + sqrt(pi) / 2 erfcx(sqrt(beta Ec))).
+
+    At y = 40, e^{-40} ~ 4e-18, b stays below 7e-16 on the benchmark's tables
+    (L = 500 to 6e4, lambda and beta from 0.25 to 2; largest at lambda = beta = 2).
+    """
+    return (C / longest) ** 2 + TABLE_EXPONENT / beta
 
 
 def build_level_table(partition: IntervalPartition, beta: float) -> LevelTable:
-    """Enumerate every level strictly below E0 + TAIL_EXPONENT / beta, mode by mode.
+    """Enumerate every level strictly below E0 + TABLE_EXPONENT / beta, mode by mode.
 
     Block s holds the levels (C s / L)^2 of every interval with at least s
     such levels, longest interval first, so each block ascends and the table
@@ -132,17 +152,37 @@ def build_level_table(partition: IntervalPartition, beta: float) -> LevelTable:
     counts = _modes_below(lengths, cutoff)  # a float count cannot wrap
     if not 0 < counts.sum() <= MAX_LEVELS:
         raise DomainError(f"{counts.sum():.3g} levels below {cutoff:g}, not 1..{MAX_LEVELS}")
-    # counts fall with the length, so the intervals with at least s levels are a
-    # prefix of them; a prefix of m intervals ends where the count drops, and
-    # serves as many blocks as it drops by
-    drops = counts - np.append(counts[1:], 0.0)
+    # counts fall with the length, so the intervals with a level are a prefix, and so are
+    # those with at least s levels; a prefix of m intervals ends where the count drops,
+    # and serves as many blocks as it drops by
+    kept = np.count_nonzero(counts)
+    lengths, counts = lengths[:kept].copy(), counts[:kept].astype(np.int64)
+    drops = counts - np.append(counts[1:], 0)
     ends = np.flatnonzero(drops)[::-1]
-    prefixes, repeats = ends + 1, drops[ends].astype(np.int64)
+    prefixes, repeats = (ends + 1).tolist(), drops[ends].tolist()
     energies = np.repeat(C * np.arange(1.0, counts[0] + 1.0), np.repeat(prefixes, repeats))
-    lens = np.concatenate([lengths[:m] if k == 1 else np.repeat(lengths[None, :m], k, 0).ravel()
-                           for m, k in zip(prefixes.tolist(), repeats.tolist())])
-    np.square(np.divide(energies, lens, out=energies), out=energies)  # (C s / L)^2 in place
-    return LevelTable(energies, lens, partition.total_length, beta)
+    start = 0
+    for m, k in zip(prefixes, repeats):  # k blocks over the same m intervals: one (k, m) view
+        run = energies[start:start + m * k].reshape(k, m)
+        np.divide(run, lengths[:m], out=run)  # C s / L in place, no level-sized length array
+        start += m * k
+    np.square(energies, out=energies)
+    return LevelTable(energies, lengths, counts, partition.total_length, beta)
+
+
+def _leading_levels(table: LevelTable, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The energies and interval lengths of the levels of the table's n longest intervals,
+    in table order.
+
+    Block s of the table holds its m_s intervals with at least s levels, longest first, so
+    the n longest hold the first min(m_s, n) entries of every block; n >= 1 holds some of
+    each. They are read off the table by index, bit for bit.
+    """
+    sizes = np.searchsorted(-table.counts, -np.arange(1, table.counts[0] + 1), side="right")
+    kept = np.minimum(sizes, n)
+    position = np.arange(kept.sum()) - np.repeat(np.cumsum(kept) - kept, kept)  # interval
+    index = position + np.repeat(np.cumsum(sizes) - sizes, kept)
+    return table.energies[index], table.lengths[position]
 
 
 def _towers(lengths: np.ndarray, beta: float) -> list[np.ndarray]:

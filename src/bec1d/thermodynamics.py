@@ -1,7 +1,9 @@
 """Grand-canonical thermodynamics of the disordered interval gas.
 
 Finite-volume quantities are exact sums over the Dirichlet levels of one
-partition; thermodynamic-limit quantities are integrals against the
+partition below E0 + 40/beta, which leave out a share of the density that
+spectrum._level_cutoff bounds (below 7e-16 on the benchmark tables);
+thermodynamic-limit quantities are integrals against the
 self-averaged density of states from :mod:`bec1d.spectrum`. The critical
 density is finite, so above it the chemical potential pins to the spectral
 bottom and the excess density condenses.
@@ -44,6 +46,8 @@ e^{-10 x} <= e^{-40} ~ 4e-18 (<= 11 e^{-40} ~ 5e-17 for the slope weight
 n (n + 1) = sum k e^{-k x}). Those levels enter every Newton step through the
 ten mu-independent moments Z_k = sum e^{-k beta (E - E0)}, times
 e^{-k beta (E0 - mu)}; only the levels below the split are summed per step.
+The moments are formed once, in blocks of the high part small enough to stay
+in L2 through one exp pass and nine power passes each.
 density_finite and pressure_finite stay direct sums over the table.
 """
 
@@ -68,14 +72,18 @@ from .numerics import (
     _log_newton,
 )
 from .poisson_geometry import IntervalPartition
-from .spectrum import C, TAIL_EXPONENT, LevelTable, ModelParams, build_level_table
+from .spectrum import C, LevelTable, ModelParams, build_level_table
 
 _TOLERANCE = dict(epsabs=1e-13, epsrel=1e-12)
+#: the limit q-integrals end where beta q^2 lies this far past the envelope's peak
+TAIL_EXPONENT = 60.0
 _MU_TOLERANCE = 1e-12
 #: table levels at or above E0 + _SPLIT_EXPONENT / beta enter the mu solve through moments
 _SPLIT_EXPONENT = 4.0
 #: geometric-series terms kept for those levels; the remainder is e^{-40} relative
 _BOSE_TERMS = 10
+#: high levels per block of the moment passes: a block and its power, 256 KiB each, stay in L2
+_MOMENT_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -88,7 +96,7 @@ class CondensateReport:
 
 
 def level_table(source: IntervalPartition | LevelTable, beta: float) -> LevelTable:
-    """The level table of a realization at beta: every level below E0 + 60/beta.
+    """The level table of a realization at beta: every level below E0 + 40/beta.
 
     A partition is enumerated (build_level_table); a table built at a beta no larger
     than this one reaches that cutoff, so it is returned unchanged (ValueError if not).
@@ -104,9 +112,9 @@ def level_table(source: IntervalPartition | LevelTable, beta: float) -> LevelTab
 def pressure_finite(source: IntervalPartition | LevelTable, beta: float, mu: float) -> float:
     """Grand-canonical pressure of one partition, or of its level table.
 
-    -1/(beta L) * sum over levels of ln(1 - exp(-beta (E - mu))); the mode
-    sums are truncated once beta (E - mu) exceeds TAIL_EXPONENT above the
-    spectral bottom, with discarded tail below 1e-20 per level.
+    -1/(beta L) * sum over levels of ln(1 - exp(-beta (E - mu))) over the
+    table, whose cutoff leaves out a share of the sum that
+    spectrum._level_cutoff bounds.
     """
     table = level_table(source, beta)
     _require_below("mu", mu, table.ground_energy)
@@ -212,29 +220,38 @@ def critical_density_by_parts(params: ModelParams, beta: float) -> float:
     return _integrate_panels(integrand, knots, 1, **_TOLERANCE)[0]
 
 
+def _bose_moments(u: np.ndarray, ground: float, beta: float) -> np.ndarray:
+    """Z_k = sum e^{-k beta (E - E0)}, k = 1.._BOSE_TERMS, over the energies u, which it
+    overwrites; block by block of _MOMENT_BLOCK levels, each taking one exp pass and
+    the power passes while it is in cache."""
+    moments = np.zeros(_BOSE_TERMS)
+    powers = np.empty(min(u.size, _MOMENT_BLOCK))
+    for start in range(0, u.size, _MOMENT_BLOCK):
+        block = u[start:start + _MOMENT_BLOCK]  # beta (E0 - E), then e^{-beta (E - E0)} in place
+        np.exp(np.multiply(beta, np.subtract(ground, block, out=block), out=block), out=block)
+        moments[0] += block.sum()
+        power = np.square(block, out=powers[:block.size])
+        moments[1] += power.sum()
+        for k in range(2, _BOSE_TERMS):
+            power *= block
+            moments[k] += power.sum()
+    return moments
+
+
 def _table_density(table: LevelTable, beta: float):
     """density(mu) -> (density, d density / d mu) of the table, for every mu below ground.
 
     Levels at or above E0 + _SPLIT_EXPONENT / beta, with E0 the ground level,
-    enter through the mu-independent moments Z_k = sum e^{-k beta (E - E0)},
-    k = 1.._BOSE_TERMS, built once; the rest are summed level by level.
+    enter through the mu-independent moments Z_k (_bose_moments), built once
+    before the step's work arrays are allocated; the rest are summed level by
+    level.
     """
     volume = table.total_length
     ground = table.ground_energy
     split = table.energies >= ground + _SPLIT_EXPONENT / beta
-    u = table.energies[split]
+    moments = _bose_moments(table.energies[split], ground, beta)
     low_energies = table.energies[np.logical_not(split, out=split)]
     del split
-    np.subtract(ground, u, out=u)  # beta (E0 - E), then e^{-beta (E - E0)} in place
-    np.exp(np.multiply(beta, u, out=u), out=u)
-    moments = np.empty(_BOSE_TERMS)
-    moments[0] = u.sum()
-    power = np.square(u)
-    moments[1] = power.sum()
-    for k in range(2, _BOSE_TERMS):
-        power *= u
-        moments[k] = power.sum()
-    del u, power  # before the step's work arrays are allocated
     orders = np.arange(1.0, _BOSE_TERMS + 1.0)
     occ, work = np.empty_like(low_energies), np.empty_like(low_energies)  # reused per step
 
@@ -326,8 +343,9 @@ def condensate_finite(
 
     Solves for the finite-volume chemical potential at target density rho
     first. A window below the partition's ground energy is empty and yields
-    exactly zero; one above the table's cutoff E0 + 60/beta sums the whole
-    table, as each level past it holds under e^-60 of the ground occupation.
+    exactly zero; one above the table's cutoff E0 + 40/beta sums the whole
+    table, as the levels past it hold a share of the density that
+    spectrum._level_cutoff bounds (below 7e-16 on the benchmark tables).
     """
     return float(_window_occupations(partition, beta, rho, epsilon).sum()) / partition.total_length
 

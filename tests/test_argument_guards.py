@@ -184,14 +184,36 @@ def test_only_spectrum_builds_a_level_table():
     assert builders == ["spectrum.py"]
 
 
+def code_references(name: str) -> set[tuple[str, str | None]]:
+    """(module, top-level function or class) of each reference to `name` in the package's
+    code, imports included; None stands for module level."""
+    package = pathlib.Path(bec1d.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if ((isinstance(node, ast.Name) and node.id == name)
+                        or (isinstance(node, ast.Attribute) and node.attr == name)
+                        or (isinstance(node, ast.alias) and node.name == name)):
+                    found.add((path.name, owner))
+    return found
+
+
 def test_only_spectrum_applies_the_level_cutoff():
-    # tables and hierarchical towers end at E0 + 60/beta by one rule in spectrum, so no
+    # tables and hierarchical towers end at E0 + 40/beta by one rule in spectrum, so no
     # other module counts modes below an energy or writes the cutoff out itself
     package = pathlib.Path(bec1d.__file__).parent
     appliers = [path.name for path in sorted(package.glob("*.py"))
-                if re.search(r"_modes_below|TAIL_EXPONENT\s*/\s*beta",
+                if re.search(r"_modes_below|(TABLE|TAIL)_EXPONENT\s*/\s*beta",
                              path.read_text(encoding="utf-8"))]
     assert appliers == ["spectrum.py"]
+    # the table exponent is defined once and read only by the rule; the limit
+    # q-integrals keep their own exponent in thermodynamics
+    assert code_references("TABLE_EXPONENT") == {("spectrum.py", None),
+                                                 ("spectrum.py", "_level_cutoff")}
+    assert code_references("TAIL_EXPONENT") == {("thermodynamics.py", None),
+                                                ("thermodynamics.py", "_q_max")}
 
 
 def test_cli_imports_no_private_name_but_the_guards():

@@ -478,7 +478,7 @@ class TestOtherCommands:
 
     def test_hierarchy_with_an_empty_class(self, tmp_path):
         # at L = 2 the large interval (ln 2) is shorter than the small one (2 - ln 2) and
-        # has no level below E0 + 60/beta at beta = 9: its tower is empty, so the row's
+        # has no level below E0 + 40/beta at beta = 9: its tower is empty, so the row's
         # largest state density comes from the small class
         out = tmp_path / "h.csv"
         assert run_cli([

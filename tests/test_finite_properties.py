@@ -22,7 +22,7 @@ from bec1d import (
     solve_mu_finite,
 )
 from bec1d.numerics import _bose_occupations
-from bec1d.spectrum import TAIL_EXPONENT
+from bec1d.spectrum import TABLE_EXPONENT
 from bec1d.thermodynamics import _MU_TOLERANCE, _table_density
 
 MAX_LEVELS = 200_000
@@ -53,11 +53,11 @@ def at_corners(**fixed):
 def box(intensity: float, beta: float, seed: int):
     """A Poisson partition whose table holds about 1e5 levels or fewer.
 
-    A table holds about L sqrt(E0 + TAIL_EXPONENT / beta) / C levels; E0 stays
+    A table holds about L sqrt(E0 + TABLE_EXPONENT / beta) / C levels; E0 stays
     below (C intensity)^2 unless the largest interval is shorter than the mean
     one, and the box budgets two more levels per expected interval as margin.
     """
-    cutoff = (C * intensity) ** 2 + TAIL_EXPONENT / beta
+    cutoff = (C * intensity) ** 2 + TABLE_EXPONENT / beta
     per_length = math.sqrt(cutoff) / C + 2.0 * intensity
     length = min(2000.0, 1e5 / per_length)
     return sample_poisson_partition(intensity, length, seed)

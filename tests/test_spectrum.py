@@ -31,7 +31,7 @@ from bec1d import (
     level_table,
     sample_poisson_partition,
 )
-from util import partition
+from util import level_lengths, partition
 
 
 class TestLevels:
@@ -63,32 +63,35 @@ class TestLevels:
         part, beta = partition([2.0, 3.0]), 2.0
         table = build_level_table(part, beta)
         assert [f.name for f in dataclasses.fields(LevelTable)] == [
-            "energies", "lengths", "total_length", "beta"
+            "energies", "lengths", "counts", "total_length", "beta"
         ]
         assert table.beta == beta
         assert table.ground_energy == pytest.approx((C / 3.0) ** 2, rel=1e-15)
-        # the levels (C s / L)^2 < E0 + 60/beta, mode by mode and longest interval
+        # the levels (C s / L)^2 < E0 + 40/beta, mode by mode and longest interval
         # first, are the table
-        cutoff = (C / 3.0) ** 2 + spectrum.TAIL_EXPONENT / beta
+        cutoff = (C / 3.0) ** 2 + spectrum.TABLE_EXPONENT / beta
         levels = [(length, s) for s in range(1, 30)
                   for length in (3.0, 2.0) if (C * s / length) ** 2 < cutoff]
         assert table.energies.tolist() == [(C * s / length) ** 2 for length, s in levels]
-        assert table.lengths.tolist() == [length for length, _ in levels]
+        assert table.lengths.tolist() == [3.0, 2.0]
+        assert table.counts.tolist() == [sum(length == 3.0 for length, _ in levels),
+                                         sum(length == 2.0 for length, _ in levels)]
+        assert level_lengths(table).tolist() == [length for length, _ in levels]
         wave_numbers = [math.pi * s / length for length, s in levels]
         np.testing.assert_allclose(np.sqrt(2.0 * table.energies), wave_numbers, rtol=1e-15)
         assert all(
             (C * s / length) ** 2 == pytest.approx(dirichlet_eigenvalue(length, s), rel=1e-14)
             for length, s in levels
         )
-        low = build_level_table(part, 6.0)
+        low = build_level_table(part, spectrum.TABLE_EXPONENT / 10.0)  # cut at E0 + 10
         assert low.energies[low.energies <= 10.0].tolist() == \
             table.energies[table.energies <= 10.0].tolist()
 
     def test_table_size_guard_raises_before_allocating(self, monkeypatch):
-        # L sqrt(E) / C ~ 4.5e9 levels below E0 + 1e8: 72 GB of energies and lengths
+        # L sqrt(E) / C ~ 4.5e9 levels below E0 + 1e8: 36 GB of energies
         huge = partition([1e6])
         with pytest.raises(DomainError, match="levels"):
-            build_level_table(huge, spectrum.TAIL_EXPONENT / 1e8)
+            build_level_table(huge, spectrum.TABLE_EXPONENT / 1e8)
         # a count past the int64 range (beta = 1e-300) must not wrap around the guard
         with pytest.raises(DomainError, match="levels"):
             build_level_table(partition([2.0]), 1e-300)
@@ -104,29 +107,29 @@ class TestLevels:
     @pytest.mark.parametrize("beta", [1e-3, 1.0, 1e3])
     def test_table_holds_exactly_the_levels_below_its_cutoff(self, intensity, beta):
         for seed in range(3):
-            rough = (C * intensity) ** 2 + spectrum.TAIL_EXPONENT / beta
+            rough = (C * intensity) ** 2 + spectrum.TABLE_EXPONENT / beta
             part = sample_poisson_partition(intensity, min(2000.0, 2e4 * C / math.sqrt(rough)),
                                             seed)
             table = level_table(part, beta)
             # the ground level in the arithmetic of the table: no level lies below it
             ground = float(np.square(C / part.lengths.max()))
             assert table.ground_energy == ground
-            cutoff = (C / part.lengths.max()) ** 2 + spectrum.TAIL_EXPONENT / beta
+            cutoff = (C / part.lengths.max()) ** 2 + spectrum.TABLE_EXPONENT / beta
             assert table.energies.max() < cutoff
             count = counting_function(part, cutoff) * part.total_length
             assert table.energies.size == round(count)
-            # a beta with 60/beta below the first gap holds only the ground level; the
+            # a beta with 40/beta below the first gap holds only the ground level; the
             # gap is read off a table cut past the longest interval's second level 4 E0
-            wide = build_level_table(part, spectrum.TAIL_EXPONENT / (4.0 * ground))
+            wide = build_level_table(part, spectrum.TABLE_EXPONENT / (4.0 * ground))
             gap = np.sort(wide.energies)[1] - ground
-            only_ground = build_level_table(part, 2.0 * spectrum.TAIL_EXPONENT / gap)
+            only_ground = build_level_table(part, 2.0 * spectrum.TABLE_EXPONENT / gap)
             assert only_ground.energies.tolist() == [ground]
 
     def test_a_cutoff_that_rounds_to_the_ground_level_holds_no_level(self):
-        # 60/beta is below half an ulp of E0 = (C / 1.5)^2 ~ 1.1, so the cutoff is E0
+        # 40/beta is below half an ulp of E0 = (C / 1.5)^2 ~ 1.1, so the cutoff is E0
         # itself and no level lies strictly below it
         part = partition([1.5, 1.0])
-        assert (C / 1.5) ** 2 + spectrum.TAIL_EXPONENT / 1e18 == (C / 1.5) ** 2
+        assert (C / 1.5) ** 2 + spectrum.TABLE_EXPONENT / 1e18 == (C / 1.5) ** 2
         with pytest.raises(DomainError, match="0 levels below"):
             build_level_table(part, 1e18)
         assert build_level_table(part, 1e15).energies.size == 1
@@ -149,7 +152,7 @@ def mode_count(length, cutoff):
 class TestModeMajorTable:
     """Block s holds the s-th level of every interval with one, longest first."""
 
-    BETA = 0.2  # cut at E0 + 300: intervals shorter than C / sqrt(301) ~ 0.128 have no level
+    BETA = 0.2  # cut at E0 + 200: intervals shorter than C / sqrt(201) ~ 0.157 have no level
 
     def random_partition(self, seed):
         rng = np.random.default_rng(seed)
@@ -159,7 +162,7 @@ class TestModeMajorTable:
         return partition(rng.permutation(np.concatenate([lengths, ties, levelless])))
 
     def cutoff(self, part):
-        return (C / part.lengths.max()) ** 2 + spectrum.TAIL_EXPONENT / self.BETA
+        return (C / part.lengths.max()) ** 2 + spectrum.TABLE_EXPONENT / self.BETA
 
     @pytest.mark.parametrize("seed", range(8))
     def test_block_s_holds_the_intervals_with_s_levels_longest_first(self, seed):
@@ -170,7 +173,9 @@ class TestModeMajorTable:
         assert min(counts) == 0 and len(set(longest_first)) < len(longest_first)
         blocks = [[length for length, n in zip(longest_first, counts) if n >= s]
                   for s in range(1, max(counts) + 1)]
-        assert table.lengths.tolist() == [length for block in blocks for length in block]
+        assert table.lengths.tolist() == [length for length, n in zip(longest_first, counts) if n]
+        assert table.counts.tolist() == [n for n in counts if n]
+        assert level_lengths(table).tolist() == [length for block in blocks for length in block]
         start = 0
         for s, block in enumerate(blocks, 1):
             energies = table.energies[start:start + len(block)]
@@ -185,7 +190,8 @@ class TestModeMajorTable:
         lengths, ties = np.unique(part.lengths, return_counts=True)
         for length, tie in zip(lengths.tolist(), ties.tolist()):
             ladder = [level(length, s) for s in range(1, mode_count(length, cutoff) + 1)]
-            assert table.energies[table.lengths == length].tolist() == np.repeat(ladder, tie).tolist()
+            own = table.energies[level_lengths(table) == length]
+            assert own.tolist() == np.repeat(ladder, tie).tolist()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_ground_level_and_longest_interval_come_first(self, seed):

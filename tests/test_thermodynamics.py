@@ -27,17 +27,17 @@ from bec1d import (
     solve_mu_finite,
     solve_mu_limit,
 )
-from bec1d import thermodynamics
+from bec1d import spectrum, thermodynamics
 from bec1d.correlations import _limit_integrand
 from bec1d.numerics import EXP_CUTOFF, _bose_factor, _bose_occupations, _bose_slope
-from bec1d.spectrum import TAIL_EXPONENT
+from bec1d.spectrum import TABLE_EXPONENT
 from bec1d.thermodynamics import (
     _ids_weight_q,
     _limit_density,
     _q_max,
 )
 from limit_quad_reference import _limit_integral
-from util import partition, quad_bound
+from util import omitted_share_bound, partition, quad_bound
 
 PARAMS = ModelParams(1.0)
 
@@ -111,7 +111,7 @@ class TestLevelTable:
             solve_mu_finite(table, 1.0, 0.4)
 
     def test_a_table_is_reused_at_equal_and_larger_beta(self):
-        # E0 + 60/beta falls as beta grows, so the table at beta holds every level of
+        # E0 + 40/beta falls as beta grows, so the table at beta holds every level of
         # the table at a larger beta, and the solve reads it within its own tolerance
         table = level_table(self.PART, 1.0)
         assert table.beta == 1.0
@@ -127,6 +127,89 @@ class TestLevelTable:
             for source in (self.PART, table):
                 with pytest.raises(ValueError, match="beta"):
                     level_table(source, beta)
+
+
+class TestTableCutoff:
+    """A table cut at E0 + 40/beta against one cut at E0 + 60/beta: every observable
+    moves by no more than spectrum._level_cutoff's bound b allows."""
+
+    #: rounding of two sums over different level sets: a few ulps of the sum
+    ROUNDING = 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("beta", [0.25, 1.0, 2.0])
+    def test_observables_move_within_the_stated_bound(self, monkeypatch, lam, beta):
+        part = sample_poisson_partition(lam, 2000.0, 1)
+        table = build_level_table(part, beta)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectrum, "TABLE_EXPONENT", 60.0)
+            wide = build_level_table(part, beta)
+        cutoff = spectrum._level_cutoff(wide.lengths[0], beta)
+        past = wide.energies[wide.energies >= cutoff]
+        assert 0 < past.size == wide.energies.size - table.energies.size
+        bound = omitted_share_bound(table, spectrum.TABLE_EXPONENT)
+        ground = table.ground_energy
+        for mu in (ground - 1e-3 / beta, ground - 0.1 / beta, ground - 1.0 / beta):
+            density = density_finite(table, beta, mu)
+            # the levels past the cutoff, summed exactly, hold at most b of the density
+            omitted = math.fsum(_bose_occupations(beta * (past - mu))) / part.total_length
+            assert omitted <= bound * density
+            allowed = (bound + self.ROUNDING) * density
+            assert abs(density_finite(wide, beta, mu) - density) <= allowed
+            pressure = pressure_finite(table, beta, mu)
+            assert abs(pressure_finite(wide, beta, mu) - pressure) <= (
+                (bound + self.ROUNDING) * pressure)
+            for r in (1.0, 5.0):
+                kernel = kernel_finite(table, beta, mu, r)
+                assert abs(kernel_finite(wide, beta, mu, r) - kernel) <= allowed
+            # d ln density / d mu >= beta, and each solve stops within its tolerance
+            solved = solve_mu_finite(table, beta, density)
+            tolerance = 2.0 * thermodynamics._MU_TOLERANCE * max(1.0, abs(solved))
+            assert abs(solve_mu_finite(wide, beta, density) - solved) <= bound / beta + tolerance
+
+
+class TestTableDensity:
+    """_table_density against direct sums of the occupations and their slopes."""
+
+    @staticmethod
+    def direct(table, beta, mu):
+        occupations = _bose_occupations(beta * (table.energies - mu))
+        density = math.fsum(occupations) / table.total_length
+        return density, beta * math.fsum(occupations * (occupations + 1.0)) / table.total_length
+
+    def check(self, table, beta):
+        step = thermodynamics._table_density(table, beta)
+        ground = table.ground_energy
+        for gap in (1e-3, 0.1, 1.0, 10.0):
+            density, slope = step(ground - gap / beta)
+            expected, expected_slope = self.direct(table, beta, ground - gap / beta)
+            assert density == pytest.approx(expected, rel=1e-15, abs=0.0)
+            assert slope == pytest.approx(expected_slope, rel=1e-15, abs=0.0)
+
+    def high_levels(self, table, beta):
+        split = table.ground_energy + thermodynamics._SPLIT_EXPONENT / beta
+        return int(np.count_nonzero(table.energies >= split))
+
+    def test_several_blocks_and_a_partial_one(self):
+        beta = 0.25
+        table = level_table(sample_poisson_partition(1.0, 6e4, 3), beta)
+        blocks, rest = divmod(self.high_levels(table, beta), thermodynamics._MOMENT_BLOCK)
+        assert blocks >= 3 and rest > 0
+        self.check(table, beta)
+
+    def test_an_empty_high_part(self):
+        # at beta = 1e3 the three ground levels lie within 4/beta of E0 and every second
+        # level lies past E0 + 40/beta
+        beta = 1e3
+        table = level_table(partition([5.0, 5.0, 4.99]), beta)
+        assert table.energies.size == 3 and self.high_levels(table, beta) == 0
+        self.check(table, beta)
+
+    def test_a_one_level_table(self):
+        beta = 1e3
+        table = level_table(partition([2.0, 1.0]), beta)
+        assert table.energies.tolist() == [(C / 2.0) ** 2]
+        self.check(table, beta)
 
 
 class TestLimits:
@@ -386,11 +469,11 @@ class TestCondensate:
         assert condensate_finite(part, 1.0, rho, epsilon=1e9) == pytest.approx(rho, rel=2e-9)
 
     def test_a_window_above_the_table_cutoff_reads_the_one_table(self):
-        # at beta = 200 the table ends at E0 + 0.3 < 1: the window sums that table, and
-        # a table cut past the window adds levels that hold under e^-60 of the ground level
+        # at beta = 200 the table ends at E0 + 0.2 < 1: the window sums that table, and
+        # a table cut past the window adds levels that hold under e^-40 of the ground level
         part, beta, rho, epsilon = sample_poisson_partition(1.0, 300.0, 13), 200.0, 0.4, 1.0
-        assert (C / part.lengths.max()) ** 2 + TAIL_EXPONENT / beta < epsilon
-        reference = build_level_table(part, TAIL_EXPONENT / epsilon)  # cut at E0 + 1
+        assert (C / part.lengths.max()) ** 2 + TABLE_EXPONENT / beta < epsilon
+        reference = build_level_table(part, TABLE_EXPONENT / epsilon)  # cut at E0 + 1
         mu = solve_mu_finite(reference, beta, rho)
         window = reference.energies[reference.energies < epsilon]
         expected = float(_bose_occupations(beta * (window - mu)).sum()) / part.total_length

@@ -6,7 +6,9 @@ import math
 
 import numpy as np
 
-from bec1d import C, IntervalPartition, ModelParams, density_limit
+from scipy.special import erfcx
+
+from bec1d import C, IntervalPartition, LevelTable, ModelParams, density_limit
 from bec1d.numerics import EXP_CUTOFF
 
 
@@ -14,6 +16,25 @@ def partition(lengths) -> IntervalPartition:
     """The partition of a segment into the given lengths, left to right."""
     lengths = np.asarray(lengths, dtype=float)
     return IntervalPartition(lengths, float(lengths.sum()))
+
+
+def level_lengths(table: LevelTable) -> np.ndarray:
+    """The interval length of each level of a table, in its mode-major order: block s
+    holds the table's intervals with at least s levels, longest first."""
+    return np.concatenate([table.lengths[table.counts >= s]
+                           for s in range(1, int(table.counts[0]) + 1)])
+
+
+def omitted_share_bound(table: LevelTable, exponent: float) -> float:
+    """The bound b of spectrum._level_cutoff on the share of the density that the levels
+    past a table's cutoff, `exponent` / beta above its ground level, could add:
+    S_om / ((1 - e^{-y}) S_kept), with S_om bounded through N(E) <= L sqrt(E) / C."""
+    beta, ground = table.beta, table.ground_energy
+    kept = float(np.exp(-beta * (table.energies - ground)).sum())
+    z = math.sqrt(beta * ground + exponent)
+    omitted = (table.total_length / (C * math.sqrt(beta)) * math.exp(-exponent)
+               * (z + 0.5 * math.sqrt(math.pi) * erfcx(z)))
+    return omitted / (-math.expm1(-exponent) * kept)
 
 
 class DrawlessGenerator(np.random.Generator):
