@@ -51,6 +51,7 @@ from .numerics import EXP_CUTOFF, _bose_factor, _bose_occupations, _gauss_kronro
 from .poisson_geometry import IntervalPartition
 from .spectrum import C, LevelTable, ModelParams, _leading_levels
 from .thermodynamics import (
+    _MOMENT_BLOCK,
     _q_max,
     condensate_density,
     critical_density,
@@ -74,8 +75,10 @@ def kernel_finite(source: IntervalPartition | LevelTable, beta: float, mu: float
 
     Exactly equals the translation average of the eigenfunction double sum;
     only intervals longer than r contribute. They lead the table's lengths, so
-    their levels and lengths are read off the table by index. At r = 0 every
-    weight is exactly 1, so this is density_finite, which is returned.
+    their levels and lengths are copied off the table in blocks of at most
+    _MOMENT_BLOCK levels, each summed in three work arrays allocated once per
+    call. At r = 0 every weight is exactly 1, so this is density_finite, which
+    is returned.
     """
     r = abs(float(r))
     _require_below("|r|", r, math.inf)
@@ -86,18 +89,23 @@ def kernel_finite(source: IntervalPartition | LevelTable, beta: float, mu: float
     longer = np.count_nonzero(table.lengths > r)
     if longer == 0:
         return 0.0
-    energies, lens = _leading_levels(table, longer)
-    occ = np.subtract(energies, mu)  # occupations, k, sin(kr) and weights: four work arrays
-    _bose_occupations(np.multiply(beta, occ, out=occ), out=occ)
-    k = np.multiply(2.0, energies)
-    np.sqrt(k, out=k)  # pi s / L
-    sine = np.multiply(k, r)
-    weights = np.cos(sine)  # to become cos(kr) (1 - r/L) + sin(kr) / (kL)
-    np.divide(np.sin(sine, out=sine), np.multiply(k, lens, out=k), out=sine)
-    weights *= np.subtract(1.0, np.divide(r, lens, out=k), out=k)
-    weights += sine
-    weights *= occ
-    return float(weights.sum()) / table.total_length
+    total = 0.0
+    work = None
+    for energies, lens in _leading_levels(table, longer, _MOMENT_BLOCK):
+        if work is None:  # occupations, sin(kr) and weights, reused by every block
+            work = np.empty((3, energies.size))
+        occ, sine, weights = work[:, :energies.size]
+        np.subtract(energies, mu, out=occ)
+        _bose_occupations(np.multiply(beta, occ, out=occ), out=occ)
+        k = np.sqrt(np.multiply(2.0, energies, out=energies), out=energies)  # pi s / L
+        np.multiply(k, r, out=sine)
+        np.cos(sine, out=weights)  # to become cos(kr) (1 - r/L) + sin(kr) / (kL)
+        np.divide(np.sin(sine, out=sine), np.multiply(k, lens, out=k), out=sine)
+        weights *= np.subtract(1.0, np.divide(r, lens, out=k), out=k)
+        weights += sine
+        weights *= occ
+        total += float(weights.sum())
+    return total / table.total_length
 
 
 def _limit_integrand(q, intensity: float, beta: float, mu: float, r: float):

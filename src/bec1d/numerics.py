@@ -176,12 +176,17 @@ def _log_newton(density, target, gap, rtol, anchor=0.0, sign=-1.0) -> float:
     raise ConvergenceError("Newton iteration did not converge", bracket(lo, hi))
 
 
-def _gk21(f, lo, hi, owner):
-    """G10K21 on each subpanel [lo_i, hi_i]: the Kronrod value and QUADPACK's
-    error estimate resasc min(1, (200 |K - G| / resasc)^1.5), floored at
-    50 eps resabs."""
+def _gk21_nodes(lo, hi):
+    """The 21 G10K21 nodes of each subpanel [lo_i, hi_i], one row per subpanel, and the
+    subpanels' half-widths."""
     centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    fx = f(centre[:, None] + half[:, None] * _GK_NODES, owner[:, None])
+    return centre[:, None] + half[:, None] * _GK_NODES, half
+
+
+def _gk21_rows(fx, half):
+    """G10K21 from the integrand's rows fx at _gk21_nodes of subpanels of half-width half:
+    the Kronrod value and QUADPACK's error estimate
+    resasc min(1, (200 |K - G| / resasc)^1.5), floored at 50 eps resabs."""
     kronrod = np.einsum("ij,j->i", fx, _GK_KRONROD)
     gauss = np.einsum("ij,j->i", fx, _GK_GAUSS)
     resabs = np.einsum("ij,j->i", np.abs(fx), _GK_KRONROD)
@@ -194,26 +199,18 @@ def _gk21(f, lo, hi, owner):
     return kronrod * half, estimate * np.abs(half)
 
 
-def _gauss_kronrod(f, a, b, owner, n_owners, epsabs, epsrel, width=math.inf):
-    """Adaptive G10K21 quadrature over arrays of panels [a_i, b_i], summed per owner.
+def _gk21(f, lo, hi, owner):
+    """G10K21 on each subpanel [lo_i, hi_i] of f(x, owner): _gk21_rows at _gk21_nodes."""
+    x, half = _gk21_nodes(lo, hi)
+    return _gk21_rows(f(x, owner[:, None]), half)
 
-    f(x, owner) evaluates the integrand at an array of nodes x, one row per
-    subpanel, with `owner` the matching column of owner indices. Returns the
-    integral, the summed error estimate and the number of integrand
-    evaluations for each of the n_owners owners.
 
-    The first pass cuts every panel into pieces no wider than `width`, and
-    the panels into at least _GK_MIN_SUBPANELS pieces in all. A single rule
-    over many oscillations or a narrow peak can return a wrong value with a
-    small estimate; `width` is the caller's scale of the integrand's features.
+def _first_pass(a, b, owner, epsabs, width=math.inf):
+    """The first-pass subpanels of _gauss_kronrod over panels [a_i, b_i]: their ends lo
+    and hi, their owners, and their budgets, each an equal share of its panel's epsabs.
 
-    A subpanel is accepted once its error estimate (see _gk21) is at most
-    max(epsabs * its share of its initial panel, epsrel * |its integral|), so a
-    panel's accepted estimates sum to at most epsabs + epsrel times its
-    absolute integral. Only failing subpanels are bisected; one still failing
-    after _GK_MAX_ROUNDS rounds raises ConvergenceError. f sees at most
-    _GK_BLOCK rows per call, which bounds the integrand's temporaries; the
-    caller bounds the number of panels.
+    Every panel is cut into equal pieces no wider than `width`, and the panels into at
+    least _GK_MIN_SUBPANELS pieces in all.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     # the minimum split also spares a handful of panels one round of array
@@ -226,8 +223,38 @@ def _gauss_kronrod(f, a, b, owner, n_owners, epsabs, epsrel, width=math.inf):
     lo = a[panel] + (b - a)[panel] * (k / pieces[panel])
     hi = np.append(lo[1:], 0.0)
     hi[ends - 1] = b
-    owner = np.asarray(owner, dtype=np.intp)[panel]
-    budget = epsabs / pieces[panel]
+    return lo, hi, np.asarray(owner, dtype=np.intp)[panel], epsabs / pieces[panel]
+
+
+def _accepted(value, estimate, budget, epsrel):
+    """The acceptance rule of _gauss_kronrod: a subpanel's estimate is at most its budget
+    or epsrel times the absolute value of its integral."""
+    return estimate <= np.maximum(budget, epsrel * np.abs(value))
+
+
+def _gauss_kronrod(f, a, b, owner, n_owners, epsabs, epsrel, width=math.inf):
+    """Adaptive G10K21 quadrature over arrays of panels [a_i, b_i], summed per owner.
+
+    f(x, owner) evaluates the integrand at an array of nodes x, one row per
+    subpanel, with `owner` the matching column of owner indices. Returns the
+    integral, the summed error estimate and the number of integrand
+    evaluations for each of the n_owners owners.
+
+    The first pass (_first_pass) cuts every panel into pieces no wider than
+    `width`, and the panels into at least _GK_MIN_SUBPANELS pieces in all. A
+    single rule over many oscillations or a narrow peak can return a wrong
+    value with a small estimate; `width` is the caller's scale of the
+    integrand's features.
+
+    A subpanel is accepted (_accepted) once its error estimate (_gk21_rows) is
+    at most max(epsabs * its share of its initial panel, epsrel * |its
+    integral|), so a panel's accepted estimates sum to at most epsabs + epsrel
+    times its absolute integral. Only failing subpanels are bisected; one still
+    failing after _GK_MAX_ROUNDS rounds raises ConvergenceError. f sees at most
+    _GK_BLOCK rows per call, which bounds the integrand's temporaries; the
+    caller bounds the number of panels.
+    """
+    lo, hi, owner, budget = _first_pass(a, b, owner, epsabs, width)
     total, error = np.zeros(n_owners), np.zeros(n_owners)
     neval = np.zeros(n_owners, dtype=np.int64)
     for _ in range(_GK_MAX_ROUNDS):
@@ -235,7 +262,7 @@ def _gauss_kronrod(f, a, b, owner, n_owners, epsabs, epsrel, width=math.inf):
         for start in range(0, lo.size, _GK_BLOCK):
             rows = slice(start, start + _GK_BLOCK)
             value[rows], estimate[rows] = _gk21(f, lo[rows], hi[rows], owner[rows])
-        done = estimate <= np.maximum(budget, epsrel * np.abs(value))
+        done = _accepted(value, estimate, budget, epsrel)
         total += np.bincount(owner[done], value[done], n_owners)
         error += np.bincount(owner[done], estimate[done], n_owners)
         neval += 21 * np.bincount(owner, minlength=n_owners)
@@ -252,17 +279,22 @@ def _gauss_kronrod(f, a, b, owner, n_owners, epsabs, epsrel, width=math.inf):
     )
 
 
+def _knot_panels(edges, owners, epsabs):
+    """The _gauss_kronrod panels of _integrate_panels: every knot panel [edges[i],
+    edges[i + 1]] once per owner, with the owners and each panel's even share of epsabs."""
+    count = len(edges) - 1
+    return (np.tile(edges[:-1], owners), np.tile(edges[1:], owners),
+            np.repeat(np.arange(owners), count), epsabs / count)
+
+
 def _integrate_panels(f, edges, owners, epsabs, epsrel) -> list[float]:
     """Integrals of f(x, owner) over [edges[0], edges[-1]], one per owner < owners.
 
     Each knot panel [edges[i], edges[i + 1]] is one _gauss_kronrod panel per
     owner, and epsabs, the whole integral's budget, is split evenly over the
-    panels: each integral's summed error estimate is at most epsabs plus
-    epsrel times its absolute integral, quad's bound.
+    panels (_knot_panels): each integral's summed error estimate is at most
+    epsabs plus epsrel times its absolute integral, quad's bound.
     """
-    count = len(edges) - 1
-    value, _, _ = _gauss_kronrod(
-        f, np.tile(edges[:-1], owners), np.tile(edges[1:], owners),
-        np.repeat(np.arange(owners), count), owners, epsabs / count, epsrel,
-    )
+    a, b, owner, share = _knot_panels(edges, owners, epsabs)
+    value, _, _ = _gauss_kronrod(f, a, b, owner, owners, share, epsrel)
     return value.tolist()

@@ -170,19 +170,39 @@ def build_level_table(partition: IntervalPartition, beta: float) -> LevelTable:
     return LevelTable(energies, lengths, counts, partition.total_length, beta)
 
 
-def _leading_levels(table: LevelTable, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _leading_levels(table: LevelTable, n: int, block: int):
     """The energies and interval lengths of the levels of the table's n longest intervals,
-    in table order.
+    in table order, in successive blocks of at most `block` levels.
 
     Block s of the table holds its m_s intervals with at least s levels, longest first, so
-    the n longest hold the first min(m_s, n) entries of every block; n >= 1 holds some of
-    each. They are read off the table by index, bit for bit.
+    the n longest hold the first min(m_s, n) entries of every mode block, whose lengths are
+    the table's first min(m_s, n) lengths; n >= 1 holds some of each. Those runs are copied
+    off the table bit for bit into two work arrays allocated once, so each block overwrites
+    the one before and is the caller's to overwrite.
     """
     sizes = np.searchsorted(-table.counts, -np.arange(1, table.counts[0] + 1), side="right")
     kept = np.minimum(sizes, n)
-    position = np.arange(kept.sum()) - np.repeat(np.cumsum(kept) - kept, kept)  # interval
-    index = position + np.repeat(np.cumsum(sizes) - sizes, kept)
-    return table.energies[index], table.lengths[position]
+    size = min(int(kept.sum()), block)
+    energies, lengths = np.empty(size), np.empty(size)
+    runs, filled = [], 0
+    for start, count in zip((np.cumsum(sizes) - sizes).tolist(), kept.tolist()):
+        done = 0
+        while done < count:
+            take = min(count - done, size - filled)
+            runs.append((start + done, done, take))
+            done, filled = done + take, filled + take
+            if filled == size:
+                yield _copy_runs(table, runs, energies, lengths)
+                runs, filled = [], 0
+    if filled:
+        yield _copy_runs(table, runs, energies[:filled], lengths[:filled])
+
+
+def _copy_runs(table, runs, energies, lengths):
+    """Fill energies and lengths with the table's runs (table start, length start, count)."""
+    np.concatenate([table.energies[e:e + k] for e, _, k in runs], out=energies)
+    np.concatenate([table.lengths[m:m + k] for _, m, k in runs], out=lengths)
+    return energies, lengths
 
 
 def _towers(lengths: np.ndarray, beta: float) -> list[np.ndarray]:

@@ -29,13 +29,21 @@ Every limit integral here but density_limit runs numerics._integrate_panels,
 the batched G10K21 rule over knot panels at quad's bound, 1e-13 split over
 the panels plus 1e-12 of the integral. The limit q-integrals share
 _limit_knots: 0, the knee sqrt(1/beta + mu), 1/sqrt(beta) and q_max. The
-limit chemical-potential solve integrates the density and its mu-derivative
-in one pass per Newton step, two owners over the same panels: w(q) n and
-w(q) beta n (n + 1), with w the density-of-states measure and n the Bose
-occupation. For mu < 0 the range [0, q_max] does not depend on mu, so every
-step starts from the knots of mu = -1/beta, its first point. density_limit
-(so the critical density) stays on quad over the same knots, the
-independent certificate of the solved mu.
+limit chemical-potential solve needs the density and its mu-derivative,
+w(q) n and w(q) beta n (n + 1), with w the density-of-states measure and n
+the Bose occupation. For mu < 0 the range [0, q_max] does not depend on mu,
+so a limit state, built once per (intensity, beta) and cached, holds the
+first-pass subpanels of their two-owner _integrate_panels pass over the
+knots of mu = -1/beta: the subpanels' G10K21 nodes with q^2 and w(q), their
+half-widths and their shares of the 1e-13 budget. Each Newton step makes one
+occupation pass over the nodes, forms both integrands from it, and takes
+their G10K21 sums and QUADPACK's estimate (numerics._gk21_rows, the one the
+adaptive rule uses). If every subpanel passes the adaptive rule's acceptance
+test, its share of 1e-13 or 1e-12 of its integral, the step returns those
+sums; otherwise it returns the adaptive _integrate_panels pass at its mu.
+Either way the step returns exactly what the adaptive pass returns.
+density_limit (so the critical density) stays on quad over the same knots,
+the independent certificate of the solved mu.
 
 The finite chemical-potential solve splits the level table once, at the
 energy E0 + 4/beta above its ground level E0, with one comparison per level.
@@ -63,11 +71,16 @@ from scipy.integrate import quad
 from .errors import _require_below, _require_positive
 from .numerics import (
     EXP_CUTOFF,
+    _accepted,
     _bose_factor,
     _bose_occupations,
     _bose_slope,
     _bose_slopes,
+    _first_pass,
+    _gk21_nodes,
+    _gk21_rows,
     _integrate_panels,
+    _knot_panels,
     _log1mexps,
     _log_newton,
 )
@@ -82,7 +95,8 @@ _MU_TOLERANCE = 1e-12
 _SPLIT_EXPONENT = 4.0
 #: geometric-series terms kept for those levels; the remainder is e^{-40} relative
 _BOSE_TERMS = 10
-#: high levels per block of the moment passes: a block and its power, 256 KiB each, stay in L2
+#: levels per block of the moment passes, and of correlations.kernel_finite: a block and
+#: its work arrays, 256 KiB each, stay in L2
 _MOMENT_BLOCK = 32768
 
 
@@ -284,35 +298,67 @@ def solve_mu_finite(source: IntervalPartition | LevelTable, beta: float, rho: fl
     )
 
 
-def _limit_density(intensity: float, beta: float):
-    """density(mu) -> (density_limit, d density_limit / d mu), for every mu < 0.
+class _LimitState:
+    """The first round of the limit mu solve's two-owner quadrature, fixed at one
+    (intensity, beta) (_limit_density). Called at mu, it returns exactly what the adaptive
+    _integrate_panels pass returns: when every subpanel is accepted, that pass stops after
+    this round, with the same sums in the same order."""
 
-    Each call is one _integrate_panels pass with two owners over the same
-    panels of [0, q_max]: owner 0 integrates w(q) n and owner 1 w(q) beta n
-    (n + 1), with w the density-of-states measure (_ids_weight_q) and n the
-    Bose occupation at beta (q^2 - mu). Neither q_max nor the panels depend on
-    mu < 0: they are cut at _limit_knots of mu = -1/beta, the first Newton
-    point of solve_mu_limit, and each call bisects what fails at its own mu.
-    """
-    knots = _limit_knots(beta, -1.0 / beta, intensity)
+    def __init__(self, intensity: float, beta: float):
+        self.intensity, self.beta = intensity, beta
+        self.knots = _limit_knots(beta, -1.0 / beta, intensity)
+        lo, hi, self.owner, self.budget = _first_pass(
+            *_knot_panels(self.knots, 2, _TOLERANCE["epsabs"]))
+        q, self.half = _gk21_nodes(lo, hi)
+        q = q[self.owner == 0]  # owner 1 integrates over the same subpanels
+        self.q2 = q * q
+        self.weights = _ids_weights_q(q, intensity)
+        for held in (self.knots, self.owner, self.budget, self.half, self.q2, self.weights):
+            held.flags.writeable = False  # the cache hands one state to every caller
 
-    def density(mu: float) -> tuple[float, float]:
+    def __call__(self, mu: float) -> tuple[float, float]:
+        n = _bose_occupations(self.beta * (self.q2 - mu))
+        density = self.weights * n
+        value, estimate = _gk21_rows(
+            np.concatenate([density, density * (self.beta * (n + 1.0))]), self.half)
+        if _accepted(value, estimate, self.budget, _TOLERANCE["epsrel"]).all():
+            return tuple(np.bincount(self.owner, value, 2).tolist())
+        return self._adaptive(mu)
+
+    def _adaptive(self, mu: float) -> tuple[float, float]:
+        beta, intensity = self.beta, self.intensity
+
         def integrand(q, owner):
             n = _bose_occupations(beta * (q * q - mu))
             return _ids_weights_q(q, intensity) * n * np.where(owner == 0, 1.0, beta * (n + 1.0))
 
-        return tuple(_integrate_panels(integrand, knots, 2, **_TOLERANCE))
+        return tuple(_integrate_panels(integrand, self.knots, 2, **_TOLERANCE))
 
-    return density
+
+@functools.lru_cache(maxsize=64)
+def _limit_density(intensity: float, beta: float) -> _LimitState:
+    """density(mu) -> (density_limit, d density_limit / d mu), for every mu < 0.
+
+    Returns the limit state of (intensity, beta), built once per pair and cached: the
+    G10K21 nodes of the first-pass subpanels (18 on the benchmark grid) of the two-owner
+    _integrate_panels pass over _limit_knots(beta, -1/beta, intensity), which no mu < 0
+    moves, with q^2 and w(q), the half-widths and each subpanel's share of the budget. A call
+    makes one occupation pass over the nodes and returns both integrals if every subpanel
+    passes the adaptive rule's acceptance test (numerics._accepted), and the adaptive
+    _integrate_panels pass at its mu otherwise (_LimitState).
+    """
+    return _LimitState(intensity, beta)
 
 
 def solve_mu_limit(params: ModelParams, beta: float, rho: float) -> float:
     """Limiting chemical potential: the root of density_limit below zero, or 0 if condensed.
 
     Newton in ln(-mu); it stops on a sign-verified bracket of width
-    1e-12 * max(1, |mu|). Each step integrates the density and its
-    mu-derivative in one batched Gauss-Kronrod pass over panels shared by
-    both integrals and by every step (_limit_density); each integral's error
+    1e-12 * max(1, |mu|). Each step reads the limit state of (intensity,
+    beta), built once per pair and cached (_limit_density): one occupation
+    pass over its fixed G10K21 nodes gives the density and its mu-derivative,
+    accepted under the adaptive rule's test, and the adaptive Gauss-Kronrod
+    pass runs instead if any subpanel fails it. Each integral's error
     estimate stays below quad's bound, 1e-12 of the integral plus 1e-13.
     density_limit stays on quad, an independent check.
     """

@@ -8,6 +8,7 @@ scan keeps it so.
 import ast
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -173,3 +174,20 @@ def test_quad_runs_only_the_certificate_and_the_fourier_kernel():
         ]
     assert callers == ["correlations.free_kernel", "thermodynamics.density_limit"]
     assert sorted(set(scipy_importers)) == ["correlations", "thermodynamics"]
+
+
+def test_one_function_holds_the_error_estimate():
+    # QUADPACK's estimate is written once, so the adaptive rule and the limit
+    # state cannot drift apart
+    package = pathlib.Path(bec1d.__file__).parent
+    estimate = re.compile(r"200\.0 \*.*\*\* 1\.5")
+    holders = []
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        funcs = [f for f in ast.walk(ast.parse(text)) if isinstance(f, ast.FunctionDef)]
+        for number, line in enumerate(text.splitlines(), 1):
+            if estimate.search(line):
+                # ast.walk is breadth first: the last enclosing function is the innermost
+                inner = [f.name for f in funcs if f.lineno <= number <= f.end_lineno]
+                holders.append(f"{path.stem}.{inner[-1] if inner else '<module>'}")
+    assert holders == ["numerics._gk21_rows"]

@@ -20,6 +20,7 @@ from bec1d import (
     density_finite,
     density_limit,
     kernel_finite,
+    kernel_with_condensate,
     level_table,
     pressure_finite,
     pressure_limit,
@@ -27,13 +28,21 @@ from bec1d import (
     solve_mu_finite,
     solve_mu_limit,
 )
-from bec1d import spectrum, thermodynamics
+from bec1d import cli, spectrum, thermodynamics
 from bec1d.correlations import _limit_integrand
-from bec1d.numerics import EXP_CUTOFF, _bose_factor, _bose_occupations, _bose_slope
+from bec1d.numerics import (
+    EXP_CUTOFF,
+    _bose_factor,
+    _bose_occupations,
+    _bose_slope,
+    _integrate_panels,
+)
 from bec1d.spectrum import TABLE_EXPONENT
 from bec1d.thermodynamics import (
     _ids_weight_q,
+    _ids_weights_q,
     _limit_density,
+    _limit_knots,
     _q_max,
 )
 from limit_quad_reference import _limit_integral
@@ -444,6 +453,73 @@ class TestMuSolvers:
                 solve(PARAMS, 1.0, math.nan)
         with pytest.raises(ValueError, match="rho"):
             solve_mu_finite(partition([1.0]), 1.0, math.nan)
+
+
+def two_owner_pass(lam, beta, mu):
+    """The adaptive two-owner pass a limit state stands for: w n and w beta n (n + 1) over
+    the knots of mu = -1/beta, at quad's bound."""
+    def integrand(q, owner):
+        n = _bose_occupations(beta * (q * q - mu))
+        return _ids_weights_q(q, lam) * n * np.where(owner == 0, 1.0, beta * (n + 1.0))
+
+    return _integrate_panels(integrand, _limit_knots(beta, -1.0 / beta, lam), 2,
+                             epsabs=1e-13, epsrel=1e-12)
+
+
+@pytest.fixture
+def fresh_limit_states():
+    thermodynamics._limit_density.cache_clear()
+    yield
+    thermodynamics._limit_density.cache_clear()
+
+
+class TestLimitState:
+    """The limit mu solve reads one fixed first pass per (lambda, beta)."""
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_state_equals_the_adaptive_pass(self, lam, beta):
+        state = _limit_density(lam, beta)
+        for beta_mu in (-1.0, -0.1, -1e-4):
+            mu = beta_mu / beta
+            for got, want in zip(state(mu), two_owner_pass(lam, beta, mu)):
+                assert abs(got - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("lam, beta", [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0)])
+    def test_a_rejected_first_pass_returns_the_adaptive_pass(self, lam, beta, monkeypatch):
+        # with no absolute budget some subpanels fail the first round at every point
+        state = thermodynamics._LimitState(lam, beta)
+        state.budget = np.zeros_like(state.budget)
+        passes = []
+
+        def counted(*args, **kwargs):
+            passes.append(args[2])
+            return _integrate_panels(*args, **kwargs)
+
+        monkeypatch.setattr(thermodynamics, "_integrate_panels", counted)
+        for beta_mu in (-1.0, -0.1, -1e-4):
+            mu = beta_mu / beta
+            assert state(mu) == tuple(two_owner_pass(lam, beta, mu))
+        assert passes == [2, 2, 2]
+
+    def test_one_state_per_sweep_and_kernel(self, tmp_path, monkeypatch, fresh_limit_states):
+        builds = []
+
+        class Counted(thermodynamics._LimitState):
+            def __init__(self, *args):
+                builds.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(thermodynamics, "_LimitState", Counted)
+        rho = 0.5 * critical_density(PARAMS, 1.0)
+        code = cli.main([
+            "correlate", "--lambda", "1", "--beta", "1", "--r-grid", "0 1 2 5 10 50",
+            "--box-length", "300", "--seeds", "3", "--rho", repr(rho),
+            "--out", str(tmp_path / "c.csv"),
+        ])
+        assert code == 0
+        kernel_with_condensate(PARAMS, 1.0, rho, 5.0)
+        assert builds == [(1.0, 1.0)]
 
 
 class TestCondensate:

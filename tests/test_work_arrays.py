@@ -126,3 +126,19 @@ class TestNoTableSizedTemporaries:
         # the two compressed parts, the power work array over the high part and a bool mask
         bound = levels * 8 + high * 8 + levels
         assert traced_peak_rise(lambda: thermodynamics._table_density(table, beta)) < bound
+
+    def test_small_r_kernel_holds_no_level_sized_float_array(self):
+        # at r = 1 most levels are kept, so they pass in several blocks
+        beta = 0.25
+        table = level_table(sample_poisson_partition(1.0, 6e4, 3), beta)
+        mu = solve_mu_finite(table, beta, 0.5)
+        lengths = level_lengths(table)
+        keep = lengths > 1.0
+        assert np.count_nonzero(keep) > 4 * thermodynamics._MOMENT_BLOCK
+        value = kernel_finite(table, beta, mu, 1.0)
+        assert traced_peak_rise(lambda: kernel_finite(table, beta, mu, 1.0)) < table.energies.size * 8
+        energies, lens = table.energies[keep], lengths[keep]
+        k = np.sqrt(2.0 * energies)
+        weights = np.cos(k) * (1.0 - 1.0 / lens) + np.sin(k) / (k * lens)
+        direct = float((_bose_occupations(beta * (energies - mu)) * weights).sum())
+        assert value == pytest.approx(direct / table.total_length, rel=1e-12)
