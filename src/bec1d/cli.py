@@ -223,8 +223,12 @@ def _run_thermo(cfg: ExperimentConfig):
         observable, fixed, finite = "density", cfg.mu, density_finite
         analytic_value = density_limit(params, cfg.beta, cfg.mu)
     else:
-        observable, fixed, finite = "mu", cfg.rho, solve_mu_finite
+        observable, fixed = "mu", cfg.rho
         analytic_value = solve_mu_limit(params, cfg.beta, cfg.rho)
+
+        def finite(part, beta, rho):
+            # Newton starts from the limit mu of the same rho
+            return solve_mu_finite(part, beta, rho, start=analytic_value)
 
     def per_trial(trial):
         # every box draws its partition afresh from the trial's stream
@@ -247,7 +251,9 @@ def _run_correlate(cfg: ExperimentConfig):
 
     def per_trial(trial):
         table = level_table(_trial_partition(cfg, cfg.box_length, trial), cfg.beta)
-        mu = cfg.mu if cfg.mu is not None else solve_mu_finite(table, cfg.beta, cfg.rho)
+        mu = cfg.mu
+        if mu is None:  # Newton starts from the limit mu of the same rho
+            mu = solve_mu_finite(table, cfg.beta, cfg.rho, start=mu_limit)
         return lambda r: kernel_finite(table, cfg.beta, mu, r)
 
     return _mc_rows(cfg, "separation", cfg.r_grid, per_trial, analytic.get,

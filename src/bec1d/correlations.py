@@ -86,7 +86,8 @@ def kernel_finite(source: IntervalPartition | LevelTable, beta: float, mu: float
         return density_finite(source, beta, mu)
     table = level_table(source, beta)
     _require_below("mu", mu, table.ground_energy)
-    longer = np.count_nonzero(table.lengths > r)
+    # the lengths fall, so read backwards they rise, without a copy
+    longer = table.lengths.size - int(np.searchsorted(table.lengths[::-1], r, side="right"))
     if longer == 0:
         return 0.0
     total = 0.0

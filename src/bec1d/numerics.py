@@ -9,8 +9,13 @@ The Bose forms are the only place in the package that calls expm1 or log1p:
 the occupation n = 1/(e^x - 1) (_bose_factor, _bose_occupations), its slope
 n (n + 1) = e^-x / (1 - e^-x)^2 = -dn/dx (_bose_slope, _bose_slopes) and the
 pressure weight ln(1 - e^-x) (_log1mexps, array form only), each for x > 0.
-The integrated density of states of the model is itself a Bose function,
-N(E) = lam n(C lam / sqrt(E)), so its density of states is a slope.
+The scalar forms flush to 0 beyond EXP_CUTOFF; the array form of n flushes
+by overflow, as e^x - 1 is inf past x ~ 709.78 and 1/inf is 0. The factored
+occupation splits x = a + y over levels sharing y: with A = e^a - 1 per level
+(_bose_gaps) and V = e^y - 1 once (_bose_gap), n = 1/(A (V + 1) + V)
+(_gap_occupations), a sum of positive terms. The integrated density of
+states of the model is itself a Bose function, N(E) = lam n(C lam / sqrt(E)),
+so its density of states is a slope.
 
 Per-step array kernels write into work arrays allocated once per call (the
 `out=` of numpy ufuncs and of _bose_occupations): a fresh temporary of 50k
@@ -73,13 +78,45 @@ def _bose_factor(x: float) -> float:
 
 
 def _bose_occupations(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise 1 / (e^x - 1) for x > 0, flushed to 0 beyond EXP_CUTOFF; out may be x."""
-    beyond = x > EXP_CUTOFF
-    out = np.minimum(x, EXP_CUTOFF, out=np.empty(np.shape(x)) if out is None else out)
+    """Elementwise 1 / (e^x - 1) for x > 0; out may be x.
+
+    e^x - 1 overflows to inf past x ~ 709.78, so the occupation there (and at
+    x = inf) is exactly 0, as the scalar form's flush beyond EXP_CUTOFF.
+    """
+    out = np.empty(np.shape(x)) if out is None else out
     with np.errstate(over="ignore"):
-        np.divide(1.0, np.expm1(out, out=out), out=out)
-    np.copyto(out, 0.0, where=beyond)
-    return out
+        return np.divide(1.0, np.expm1(x, out=out), out=out)
+
+
+def _bose_gap(x: float) -> float:
+    """e^x - 1 for x >= 0, inf past its overflow (x ~ 709.78)."""
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
+
+
+def _bose_gaps(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise e^x - 1 for 0 <= x < 709, the level factor A of _gap_occupations;
+    out may be x."""
+    return np.expm1(x, out=np.empty(np.shape(x)) if out is None else out)
+
+
+def _gap_occupations(gaps: np.ndarray, v: float, out: np.ndarray) -> np.ndarray:
+    """Bose occupations 1 / (e^{a + y} - 1) of levels with gaps A = e^a - 1 (_bose_gaps),
+    at one shared V = e^y - 1 (_bose_gap), y > 0; out may be gaps.
+
+    e^{a + y} - 1 = A (V + 1) + V, a sum of positive terms, so nothing cancels at any
+    y > 0, and a step over the levels is one multiply, one add and one divide. Where V,
+    or A (V + 1), overflows to inf the occupation is exactly 0, as _bose_occupations'.
+    """
+    if math.isinf(v):
+        out.fill(0.0)
+        return out
+    with np.errstate(over="ignore"):
+        np.multiply(gaps, v + 1.0, out=out)
+    out += v
+    return np.divide(1.0, out, out=out)
 
 
 def _bose_slope(x: float) -> float:

@@ -180,7 +180,8 @@ def _leading_levels(table: LevelTable, n: int, block: int):
     off the table bit for bit into two work arrays allocated once, so each block overwrites
     the one before and is the caller's to overwrite.
     """
-    sizes = np.searchsorted(-table.counts, -np.arange(1, table.counts[0] + 1), side="right")
+    counts = table.counts  # falling, so read backwards it rises, without a copy
+    sizes = counts.size - np.searchsorted(counts[::-1], np.arange(1, counts[0] + 1), side="left")
     kept = np.minimum(sizes, n)
     size = min(int(kept.sum()), block)
     energies, lengths = np.empty(size), np.empty(size)

@@ -55,7 +55,15 @@ n (n + 1) = sum k e^{-k x}). Those levels enter every Newton step through the
 ten mu-independent moments Z_k = sum e^{-k beta (E - E0)}, times
 e^{-k beta (E0 - mu)}; only the levels below the split are summed per step.
 The moments are formed once, in blocks of the high part small enough to stay
-in L2 through one exp pass and nine power passes each.
+in L2 through one exp pass and nine power passes each. The levels below the
+split are turned once, in place, into A = e^{beta (E - E0)} - 1. With the
+one scalar V = e^{beta (E0 - mu)} - 1 per step, a level's occupation is
+1 / (A (V + 1) + V) (numerics._gap_occupations), a sum of positive terms, so
+nothing cancels at any mu < E0, and a step is one multiply, one add, one
+divide and one square, with the two sums of n and n^2. Past the overflow of
+V, at beta (E0 - mu) ~ 709.78, those occupations are exactly 0. Newton starts
+from a given mu below E0 when the caller has one (the CLI's --rho runners
+pass the limit mu), and from E0 - 1/beta otherwise.
 density_finite and pressure_finite stay direct sums over the table.
 """
 
@@ -73,10 +81,13 @@ from .numerics import (
     EXP_CUTOFF,
     _accepted,
     _bose_factor,
+    _bose_gap,
+    _bose_gaps,
     _bose_occupations,
     _bose_slope,
     _bose_slopes,
     _first_pass,
+    _gap_occupations,
     _gk21_nodes,
     _gk21_rows,
     _integrate_panels,
@@ -257,45 +268,56 @@ def _table_density(table: LevelTable, beta: float):
 
     Levels at or above E0 + _SPLIT_EXPONENT / beta, with E0 the ground level,
     enter through the mu-independent moments Z_k (_bose_moments), built once
-    before the step's work arrays are allocated; the rest are summed level by
-    level.
+    before the step's work array is allocated. The rest are turned once, in
+    place, into A = e^{beta (E - E0)} - 1 (_bose_gaps), and each step sums
+    their occupations 1 / (A (V + 1) + V), V = e^{beta (E0 - mu)} - 1
+    (_gap_occupations).
     """
     volume = table.total_length
     ground = table.ground_energy
     split = table.energies >= ground + _SPLIT_EXPONENT / beta
     moments = _bose_moments(table.energies[split], ground, beta)
-    low_energies = table.energies[np.logical_not(split, out=split)]
+    gaps = table.energies[np.logical_not(split, out=split)]  # E, then A in place
     del split
+    _bose_gaps(np.multiply(beta, np.subtract(gaps, ground, out=gaps), out=gaps), out=gaps)
     orders = np.arange(1.0, _BOSE_TERMS + 1.0)
-    occ, work = np.empty_like(low_energies), np.empty_like(low_energies)  # reused per step
+    occ = np.empty_like(gaps)  # reused per step
 
     def density(mu: float) -> tuple[float, float]:
-        np.multiply(beta, np.subtract(low_energies, mu, out=occ), out=occ)
-        _bose_occupations(occ, out=occ)
-        terms = np.exp(-beta * (ground - mu) * orders) * moments
-        n = float(occ.sum()) + float(terms.sum())
-        # einsum, not a BLAS dot: with OpenBLAS threads on, a dot of 2e4 or more
-        # elements took ~8 ms on a 2-core VM, against ~0.02 ms on one thread
-        slope = float(np.einsum("i,i->", occ, np.add(occ, 1.0, out=work))) + float(orders @ terms)
-        return n / volume, beta * slope / volume
+        y = beta * (ground - mu)
+        n = float(_gap_occupations(gaps, _bose_gap(y), occ).sum())
+        # sum n (n + 1) as the pairwise sums of n and n^2, with n^2 squared in place
+        n2 = float(np.square(occ, out=occ).sum())
+        terms = np.exp(-y * orders) * moments
+        return (n + float(terms.sum())) / volume, beta * (n2 + n + float(orders @ terms)) / volume
 
     return density
 
 
-def solve_mu_finite(source: IntervalPartition | LevelTable, beta: float, rho: float) -> float:
+def solve_mu_finite(
+    source: IntervalPartition | LevelTable, beta: float, rho: float, start: float | None = None
+) -> float:
     """Unique mu below the spectral bottom with density_finite == rho (partition or table).
 
     Newton in ln(ground - mu), slope beta * sum n(n+1) from the same occupations
-    n; it stops on a sign-verified bracket of width 1e-12 * max(1, |mu|). Levels
-    at or above E0 + 4/beta, with E0 the ground level, enter through ten Bose
-    moments (module docstring), exact to 4e-18 relative per level (5e-17 for
-    the slope); each Newton step sums only the levels below that split.
+    n; it stops on a sign-verified bracket of width 1e-12 * max(1, |mu|). The
+    first step is at mu = start when a finite start lies below the ground level
+    E0 (the CLI passes the limit mu of the same rho), but no closer to it than
+    4 eps E0, and at E0 - 1/beta otherwise. Levels at or above E0 + 4/beta
+    enter through ten Bose moments (module docstring), exact to 4e-18 relative
+    per level (5e-17 for the slope); each Newton step sums only the levels
+    below that split, in the factored form 1 / (A (V + 1) + V), with each
+    level's A = e^{beta (E - E0)} - 1 formed once and V = e^{beta (E0 - mu)} - 1
+    once per step.
     """
     _require_positive("rho", rho)
     table = level_table(source, beta)
-    return _log_newton(
-        _table_density(table, beta), rho, 1.0 / beta, _MU_TOLERANCE, anchor=table.ground_energy
-    )
+    ground = table.ground_energy
+    gap = 1.0 / beta
+    if start is not None and -math.inf < start < ground:
+        # no closer to ground than the floor of _log_newton's bracket, 4 eps ground
+        gap = max(ground - start, 4.0 * np.finfo(float).eps * ground)
+    return _log_newton(_table_density(table, beta), rho, gap, _MU_TOLERANCE, anchor=ground)
 
 
 class _LimitState:

@@ -340,7 +340,9 @@ class TestCorrelateReuse:
         rows = self._run(tmp_path, "--rho", repr(rho))
         parts = [cli._trial_partition(cli.ExperimentConfig("correlate", base_seed=4), 300.0, t)
                  for t in range(3)]
-        mus = [solve_mu_finite(part, 1.0, rho) for part in parts]
+        # each trial's Newton starts from the limit mu, as the runner starts it
+        start = condensate_density(params, 1.0, rho).mu_limit
+        mus = [solve_mu_finite(part, 1.0, rho, start=start) for part in parts]
         for row, r in zip(rows, self.R_GRID):
             trials = [kernel_finite(part, 1.0, mu, r) for part, mu in zip(parts, mus)]
             assert float(row["mc_mean"]) == float(np.asarray(trials).mean())

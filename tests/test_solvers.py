@@ -11,6 +11,7 @@ from bec1d import (
     ConvergenceError,
     ModelParams,
     build_layout,
+    level_table,
     critical_density,
     density_finite,
     density_limit,
@@ -26,6 +27,13 @@ from bec1d import numerics, thermodynamics
 from bec1d.numerics import _log_newton
 from util import partition
 
+#: the limiting critical densities of perfbench's (lambda, beta) grid, rounded down
+RHO_C = {
+    (0.5, 0.5): 1.9564, (0.5, 1.0): 0.86016, (0.5, 2.0): 0.35848,
+    (1.0, 0.25): 1.7203, (1.0, 0.5): 0.71696, (1.0, 1.0): 0.27703, (1.0, 2.0): 0.096210,
+    (2.0, 0.5): 0.19242, (2.0, 1.0): 0.057531, (2.0, 2.0): 0.013966,
+}
+
 PARAMS = ModelParams(1.0)
 #: table passes allowed per finite solve; the bisection took 42-52
 MAX_PASSES = 12
@@ -37,15 +45,15 @@ def mu_tol(mu: float, rtol: float = ref.MU_TOLERANCE) -> float:
 
 @pytest.fixture
 def table_passes(monkeypatch):
-    """Counts the level-table passes, i.e. calls of the array Bose helper."""
+    """Counts the level-table passes, i.e. calls of the per-step occupation helper."""
     calls = {"n": 0}
-    real = thermodynamics._bose_occupations
+    real = thermodynamics._gap_occupations
 
-    def counted(x, out=None):
+    def counted(gaps, v, out):
         calls["n"] += 1
-        return real(x, out=out)
+        return real(gaps, v, out)
 
-    monkeypatch.setattr(thermodynamics, "_bose_occupations", counted)
+    monkeypatch.setattr(thermodynamics, "_gap_occupations", counted)
     return calls
 
 
@@ -80,6 +88,82 @@ class TestFiniteSolver:
             solve_mu_finite(part, 1.0, 1e16)
         lo, hi = info.value.bracket
         assert lo < hi <= ground
+
+
+@pytest.fixture
+def recorded_steps(monkeypatch):
+    """Every (mu, density) a finite solve evaluates, in order; cleared by the caller."""
+    steps = []
+    real = thermodynamics._table_density
+
+    def recording(table, beta):
+        density = real(table, beta)
+
+        def step(mu):
+            n, slope = density(mu)
+            steps.append((mu, n))
+            return n, slope
+
+        return step
+
+    monkeypatch.setattr(thermodynamics, "_table_density", recording)
+    return steps
+
+
+def stopping_bracket(steps, rho, ground):
+    """The bracket a solve stopped on, the highest mu it found below rho and the lowest at
+    or above it, widened by 16 ulp of the gap ground - mu: the solve takes its last step
+    in ln(ground - mu), so a solved mu carries a few ulp of the gap (up to 8 seen)."""
+    lo = max(mu for mu, n in steps if n < rho)
+    hi = min(mu for mu, n in steps if n >= rho)
+    return lo - 16.0 * math.ulp(ground - lo), hi + 16.0 * math.ulp(ground - hi)
+
+
+class TestWarmStart:
+    """Newton started from the limit mu, as the CLI's --rho runners start it."""
+
+    @pytest.mark.parametrize("box", [2000.0, 2e4])
+    def test_lands_in_the_cold_bracket_in_fewer_passes(self, box, recorded_steps):
+        cold_passes, warm_passes = [], []
+        for (lam, beta), rho_c in RHO_C.items():
+            for seed in (1, 2):
+                table = level_table(sample_poisson_partition(lam, box, seed), beta)
+                for fraction in (0.3, 0.6, 0.9):
+                    rho = fraction * rho_c
+                    recorded_steps.clear()
+                    solve_mu_finite(table, beta, rho)
+                    lo, hi = stopping_bracket(recorded_steps, rho, table.ground_energy)
+                    cold_passes.append(len(recorded_steps))
+                    recorded_steps.clear()
+                    warm = solve_mu_finite(table, beta, rho,
+                                           start=solve_mu_limit(ModelParams(lam), beta, rho))
+                    warm_passes.append(len(recorded_steps))
+                    assert lo <= warm <= hi
+        assert np.mean(warm_passes) < np.mean(cold_passes)
+        assert max(warm_passes) <= MAX_PASSES
+
+    @pytest.mark.parametrize("start", ["ground", "above", "inf", "nan", "next_below",
+                                       "far_below", "-1e300"])
+    def test_a_start_at_or_above_ground_or_far_off_converges(self, start, recorded_steps):
+        beta, rho = 1.0, 0.5 * RHO_C[(1.0, 1.0)]
+        table = level_table(sample_poisson_partition(1.0, 2000.0, 1), beta)
+        ground = table.ground_energy
+        cold = solve_mu_finite(table, beta, rho)
+        lo, hi = stopping_bracket(recorded_steps, rho, ground)
+        recorded_steps.clear()
+        value = {"ground": ground, "above": ground + 1.0, "inf": math.inf, "nan": math.nan,
+                 "next_below": math.nextafter(ground, 0.0), "far_below": ground - 1e3,
+                 "-1e300": -1e300}[start]
+        warm = solve_mu_finite(table, beta, rho, start=value)
+        assert lo <= warm <= hi and abs(warm - cold) <= mu_tol(cold)
+        first = recorded_steps[0][0]
+        if start in ("ground", "above", "inf", "nan"):
+            assert first == ground - 1.0 / beta  # ignored: the cold start
+        elif start == "next_below":
+            floor = 4.0 * np.finfo(float).eps * ground  # of the bracket
+            assert first == pytest.approx(ground - floor, rel=0.0, abs=1e-12 * floor)
+        else:  # through exp(ln(ground - start))
+            assert first == pytest.approx(value, rel=1e-12)
 
 
 class TestLimitSolver:

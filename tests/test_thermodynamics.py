@@ -33,8 +33,11 @@ from bec1d.correlations import _limit_integrand
 from bec1d.numerics import (
     EXP_CUTOFF,
     _bose_factor,
+    _bose_gap,
+    _bose_gaps,
     _bose_occupations,
     _bose_slope,
+    _gap_occupations,
     _integrate_panels,
 )
 from bec1d.spectrum import TABLE_EXPONENT
@@ -219,6 +222,58 @@ class TestTableDensity:
         table = level_table(partition([2.0, 1.0]), beta)
         assert table.energies.tolist() == [(C / 2.0) ** 2]
         self.check(table, beta)
+
+
+class TestFactoredStep:
+    """The factored occupations 1 / (A (V + 1) + V) of a Newton step against the direct
+    _bose_occupations(beta (E - mu)) sums, from mu just below E0 to V's overflow."""
+
+    #: y = beta (E0 - mu); up to 660 every table level's occupation is a normal double,
+    #: so the direct sums keep their digits
+    EXPONENTS = np.concatenate([np.geomspace(1e-9, 660.0, 60), np.linspace(64.0, 660.0, 30)])
+
+    @staticmethod
+    def tolerance(y):
+        # the step rounds y once for all its levels, each level of the direct sums rounds
+        # its own beta (E - mu): both carry up to eps y of error in the exponent
+        return 1e-14 + 2.0 * np.finfo(float).eps * y
+
+    @pytest.mark.parametrize("beta", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_density_and_slope_equal_the_direct_sums(self, beta, seed):
+        table = level_table(sample_poisson_partition(1.0, 1000.0, seed), beta)
+        ground = table.ground_energy
+        step = thermodynamics._table_density(table, beta)
+        for mu in [ground * (1.0 - 1e-12), *(ground - self.EXPONENTS / beta)]:
+            y = beta * (ground - mu)
+            density, slope = step(mu)
+            expected, expected_slope = TestTableDensity.direct(table, beta, mu)
+            tol = self.tolerance(y)
+            assert density == pytest.approx(expected, rel=tol, abs=0.0)
+            assert slope == pytest.approx(expected_slope, rel=tol, abs=0.0)
+            # within 1e-14 wherever the rounding of y is below it
+            if y <= 64.0:
+                assert density == pytest.approx(expected, rel=1e-14, abs=0.0)
+                assert slope == pytest.approx(expected_slope, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("y", [709.79, 745.0, 1e4, math.inf])
+    def test_occupations_past_the_overflow_are_exactly_zero(self, y):
+        table = level_table(sample_poisson_partition(1.0, 1000.0, 1), 1.0)
+        low = table.energies[table.energies < table.ground_energy + 4.0]
+        gaps = _bose_gaps(low - table.ground_energy)
+        assert gaps[0] == 0.0 and low.size > 1  # the ground level's A, and others
+        v = _bose_gap(y)
+        assert v == math.inf
+        out = np.full_like(gaps, np.nan)
+        assert _gap_occupations(gaps, v, out) is out
+        assert not out.any()
+        # as the direct form, whose e^x - 1 overflows there too
+        assert not _bose_occupations(y + (low - table.ground_energy)).any()
+
+    def test_occupations_just_below_the_overflow_are_finite(self):
+        gaps = _bose_gaps(np.array([0.0, 1e-3, 3.9]))
+        occupations = _gap_occupations(gaps, _bose_gap(709.0), np.empty(3))
+        assert np.isfinite(occupations).all() and occupations[0] == 1.0 / math.expm1(709.0)
 
 
 class TestLimits:

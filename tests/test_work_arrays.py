@@ -21,6 +21,7 @@ from bec1d import (
 )
 from bec1d import hierarchical, thermodynamics
 from bec1d.numerics import EXP_CUTOFF, _bose_occupations
+from test_bose_forms import POINTS
 from util import level_lengths
 
 
@@ -42,11 +43,13 @@ def traced_peak_rise(step):
 
 class TestBoseOccupations:
     X = np.concatenate([
-        np.geomspace(1e-300, 800.0, 4001),
+        np.geomspace(1e-300, 800.0, 4001), POINTS, [709.7, 709.8, 745.0, 5e-324],
         [EXP_CUTOFF, np.nextafter(EXP_CUTOFF, np.inf), EXP_CUTOFF + 1e-9, 709.78, np.nan, np.inf],
     ])
 
     def test_out_forms_equal_the_allocating_form_bit_for_bit(self):
+        # the allocating form is the one before the flush was left to overflow: clip to
+        # EXP_CUTOFF, then zero past it
         with np.errstate(over="ignore"):
             flat = 1.0 / np.expm1(np.minimum(self.X, EXP_CUTOFF))
         expected = np.where(self.X > EXP_CUTOFF, 0.0, flat)
@@ -126,6 +129,16 @@ class TestNoTableSizedTemporaries:
         # the two compressed parts, the power work array over the high part and a bool mask
         bound = levels * 8 + high * 8 + levels
         assert traced_peak_rise(lambda: thermodynamics._table_density(table, beta)) < bound
+
+    def test_a_kernel_keeping_few_intervals_holds_no_interval_sized_array(self):
+        # at r = 10 three intervals of 50k are kept: the intervals longer than r and their
+        # mode blocks are found by binary search, without a mask or copy per interval
+        beta = 0.25
+        table = level_table(sample_poisson_partition(1.0, 6e4, 3), beta)
+        mu = solve_mu_finite(table, beta, 0.5)
+        assert 0 < np.count_nonzero(table.lengths > 10.0) < 10 < table.lengths.size // 1000
+        kernel_finite(table, beta, mu, 10.0)
+        assert traced_peak_rise(lambda: kernel_finite(table, beta, mu, 10.0)) < table.lengths.size
 
     def test_small_r_kernel_holds_no_level_sized_float_array(self):
         # at r = 1 most levels are kept, so they pass in several blocks
