@@ -11,12 +11,12 @@ from bec1d import (
     ConvergenceError,
     ModelParams,
     build_layout,
-    level_table,
     critical_density,
     density_finite,
     density_limit,
     hierarchical_critical_density,
     hierarchical_density,
+    level_table,
     sample_poisson_partition,
     solve_mu_finite,
     solve_mu_hierarchical,
