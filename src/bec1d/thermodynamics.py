@@ -25,25 +25,23 @@ discarded density tail is below 1e-20 of the density. The critical density
 by parts and the free kernel keep their full range, so the by-parts route
 stays an independent check of the cut.
 
-Every limit integral here but density_limit runs numerics._integrate_panels,
-the batched G10K21 rule over knot panels at quad's bound, 1e-13 split over
-the panels plus 1e-12 of the integral. The limit q-integrals share
-_limit_knots: 0, the knee sqrt(1/beta + mu), 1/sqrt(beta) and q_max. The
-limit chemical-potential solve needs the density and its mu-derivative,
-w(q) n and w(q) beta n (n + 1), with w the density-of-states measure and n
-the Bose occupation. For mu < 0 the range [0, q_max] does not depend on mu,
-so a limit state, built once per (intensity, beta) and cached, holds the
-first-pass subpanels of their two-owner _integrate_panels pass over the
-knots of mu = -1/beta: the subpanels' G10K21 nodes with q^2 and w(q), their
-half-widths and their shares of the 1e-13 budget. Each Newton step makes one
-occupation pass over the nodes, forms both integrands from it, and takes
-their G10K21 sums and QUADPACK's estimate (numerics._gk21_rows, the one the
-adaptive rule uses). If every subpanel passes the adaptive rule's acceptance
-test, its share of 1e-13 or 1e-12 of its integral, the step returns those
-sums; otherwise it returns the adaptive _integrate_panels pass at its mu.
-Either way the step returns exactly what the adaptive pass returns.
-density_limit (so the critical density) stays on quad over the same knots,
-the independent certificate of the solved mu.
+The critical density, the limit chemical-potential solve and the limit
+pressure read one limit model per (intensity, beta), built once and cached
+(_limit_density). It holds the critical density (density_limit at mu = 0, on
+quad) and the first round of a two-owner numerics._integrate_panels pass, the
+batched G10K21 rule at quad's bound (1e-13 split over the knot panels plus
+1e-12 of the integral), over _limit_knots (0, the knee sqrt(1/beta + mu),
+1/sqrt(beta), q_max) at mu = -1/beta, as no mu < 0 moves the range: the
+subpanels' G10K21 nodes with q^2 and the density-of-states measure w(q), their
+half-widths and budgets, owner 0's subpanels first. A read at mu forms one row
+per owner from one pass over the nodes and returns their G10K21 sums when
+every subpanel's QUADPACK estimate (numerics._gk21_rows) is at most its share
+of 1e-13 or 1e-12 of its integral, and the adaptive pass over the model's
+knots otherwise. A Newton step reads the density w n and its slope
+w beta n (n + 1), n the Bose occupation, as two owners: exactly what the
+two-owner adaptive pass returns. The pressure reads w ln(1 - e^{-beta (q^2 - mu)}) on
+owner 0's subpanels. density_limit stays on quad over the knots of its mu, the
+independent certificate of the solved mu.
 
 The finite chemical-potential solve splits the level table once, at the
 energy E0 + 4/beta above its ground level E0, with one comparison per level.
@@ -188,15 +186,16 @@ def _limit_knots(beta: float, mu: float, intensity: float) -> np.ndarray:
 
 
 def pressure_limit(params: ModelParams, beta: float, mu: float) -> float:
-    """Self-averaged pressure, -(1/beta) * integral of N'(E) ln(1 - e^{-beta(E-mu)})."""
+    """Self-averaged pressure, -(1/beta) * integral of N'(E) ln(1 - e^{-beta(E-mu)}).
+
+    Read off the cached limit model of (intensity, beta) (_limit_density): the G10K21
+    sums on its owner-0 subpanels if each estimate is at most its share of 1e-13 or
+    1e-12 of its part, else the adaptive pass over its knots; either way the summed
+    estimate stays within 1e-12 |p| + 1e-13 / beta.
+    """
     _require_positive("beta", beta)
     _require_below("mu", mu, 0.0)
-    lam = params.intensity
-
-    def integrand(q, _):
-        return _ids_weights_q(q, lam) * _log1mexps(beta * (q * q - mu))
-
-    return -_integrate_panels(integrand, _limit_knots(beta, mu, lam), 1, **_TOLERANCE)[0] / beta
+    return _limit_density(params.intensity, beta).pressure(mu)
 
 
 def density_limit(params: ModelParams, beta: float, mu: float) -> float:
@@ -216,15 +215,11 @@ def density_limit(params: ModelParams, beta: float, mu: float) -> float:
     return val
 
 
-@functools.lru_cache(maxsize=1024)
-def _critical_density_cached(intensity: float, beta: float) -> float:
-    return density_limit(ModelParams(intensity), beta, 0.0)
-
-
 def critical_density(params: ModelParams, beta: float) -> float:
-    """Supremum of the limiting density over mu <= 0, attained at mu = 0 (finite)."""
+    """Supremum of the limiting density over mu <= 0, attained at mu = 0 (finite); held by
+    the cached limit model of (intensity, beta) (_limit_density)."""
     _require_positive("beta", beta)
-    return _critical_density_cached(params.intensity, beta)
+    return _limit_density(params.intensity, beta).rho_c
 
 
 def critical_density_by_parts(params: ModelParams, beta: float) -> float:
@@ -321,53 +316,61 @@ def solve_mu_finite(
 
 
 class _LimitState:
-    """The first round of the limit mu solve's two-owner quadrature, fixed at one
-    (intensity, beta) (_limit_density). Called at mu, it returns exactly what the adaptive
-    _integrate_panels pass returns: when every subpanel is accepted, that pass stops after
-    this round, with the same sums in the same order."""
+    """The limit model of one (intensity, beta), cached by _limit_density: rho_c and the
+    first round of the two-owner _integrate_panels pass over the knots of mu = -1/beta.
+    Called at mu it returns exactly what that pass returns (density, slope): if every
+    subpanel is accepted, the pass stops after this round with the same sums in order."""
 
     def __init__(self, intensity: float, beta: float):
         self.intensity, self.beta = intensity, beta
+        self.rho_c = density_limit(ModelParams(intensity), beta, 0.0)
         self.knots = _limit_knots(beta, -1.0 / beta, intensity)
         lo, hi, self.owner, self.budget = _first_pass(
             *_knot_panels(self.knots, 2, _TOLERANCE["epsabs"]))
         q, self.half = _gk21_nodes(lo, hi)
         q = q[self.owner == 0]  # owner 1 integrates over the same subpanels
-        self.q2 = q * q
-        self.weights = _ids_weights_q(q, intensity)
+        self.q2, self.weights = q * q, _ids_weights_q(q, intensity)
         for held in (self.knots, self.owner, self.budget, self.half, self.q2, self.weights):
-            held.flags.writeable = False  # the cache hands one state to every caller
+            held.flags.writeable = False  # the cache hands one model to every caller
 
-    def __call__(self, mu: float) -> tuple[float, float]:
-        n = _bose_occupations(self.beta * (self.q2 - mu))
-        density = self.weights * n
-        value, estimate = _gk21_rows(
-            np.concatenate([density, density * (self.beta * (n + 1.0))]), self.half)
-        if _accepted(value, estimate, self.budget, _TOLERANCE["epsrel"]).all():
-            return tuple(np.bincount(self.owner, value, 2).tolist())
-        return self._adaptive(mu)
-
-    def _adaptive(self, mu: float) -> tuple[float, float]:
-        beta, intensity = self.beta, self.intensity
+    def _integrals(self, owners: int, rows) -> list[float]:
+        """Integrals over the knots of rows(q^2, w(q)), one row array per owner: the G10K21
+        sums over the held subpanels of the first `owners` owners if all pass
+        numerics._accepted, else the adaptive _integrate_panels pass."""
+        held = owners * self.q2.shape[0]
+        value, estimate = _gk21_rows(np.concatenate(rows(self.q2, self.weights)), self.half[:held])
+        if _accepted(value, estimate, self.budget[:held], _TOLERANCE["epsrel"]).all():
+            return np.bincount(self.owner[:held], value, owners).tolist()
 
         def integrand(q, owner):
-            n = _bose_occupations(beta * (q * q - mu))
-            return _ids_weights_q(q, intensity) * n * np.where(owner == 0, 1.0, beta * (n + 1.0))
+            return np.choose(owner, rows(q * q, _ids_weights_q(q, self.intensity)))
 
-        return tuple(_integrate_panels(integrand, self.knots, 2, **_TOLERANCE))
+        return _integrate_panels(integrand, self.knots, owners, **_TOLERANCE)
+
+    def __call__(self, mu: float) -> tuple[float, float]:
+        beta = self.beta
+
+        def rows(q2, weights):
+            n = _bose_occupations(beta * (q2 - mu))
+            density = weights * n
+            return density, density * (beta * (n + 1.0))
+
+        return tuple(self._integrals(2, rows))
+
+    def pressure(self, mu: float) -> float:
+        beta = self.beta
+        return -self._integrals(1, lambda q2, w: [w * _log1mexps(beta * (q2 - mu))])[0] / beta
 
 
 @functools.lru_cache(maxsize=64)
 def _limit_density(intensity: float, beta: float) -> _LimitState:
-    """density(mu) -> (density_limit, d density_limit / d mu), for every mu < 0.
+    """The limit model of (intensity, beta), built once per pair and cached: the one
+    object behind critical_density, solve_mu_limit's Newton steps and pressure_limit.
 
-    Returns the limit state of (intensity, beta), built once per pair and cached: the
-    G10K21 nodes of the first-pass subpanels (18 on the benchmark grid) of the two-owner
-    _integrate_panels pass over _limit_knots(beta, -1/beta, intensity), which no mu < 0
-    moves, with q^2 and w(q), the half-widths and each subpanel's share of the budget. A call
-    makes one occupation pass over the nodes and returns both integrals if every subpanel
-    passes the adaptive rule's acceptance test (numerics._accepted), and the adaptive
-    _integrate_panels pass at its mu otherwise (_LimitState).
+    It holds rho_c and the first-pass subpanels (18 per owner on the benchmark grid) of
+    the two-owner pass over _limit_knots(beta, -1/beta, intensity), which no mu < 0
+    moves: their G10K21 nodes with q^2 and w(q), half-widths and budgets. Called at
+    mu < 0 it returns (density_limit, d density_limit / d mu) (_LimitState).
     """
     return _LimitState(intensity, beta)
 
@@ -376,19 +379,18 @@ def solve_mu_limit(params: ModelParams, beta: float, rho: float) -> float:
     """Limiting chemical potential: the root of density_limit below zero, or 0 if condensed.
 
     Newton in ln(-mu); it stops on a sign-verified bracket of width
-    1e-12 * max(1, |mu|). Each step reads the limit state of (intensity,
-    beta), built once per pair and cached (_limit_density): one occupation
-    pass over its fixed G10K21 nodes gives the density and its mu-derivative,
-    accepted under the adaptive rule's test, and the adaptive Gauss-Kronrod
-    pass runs instead if any subpanel fails it. Each integral's error
-    estimate stays below quad's bound, 1e-12 of the integral plus 1e-13.
+    1e-12 * max(1, |mu|). The critical density and each step read the cached limit
+    model of (intensity, beta) (_limit_density): one occupation pass over its G10K21
+    nodes gives the density and its mu-derivative, whose error estimates stay below
+    quad's bound, 1e-12 of the integral plus 1e-13, or the adaptive pass runs.
     density_limit stays on quad, an independent check.
     """
     _require_positive("rho", rho)
-    rho_c = critical_density(params, beta)
-    if rho >= rho_c:
+    _require_positive("beta", beta)
+    model = _limit_density(params.intensity, beta)
+    if rho >= model.rho_c:
         return 0.0
-    return _log_newton(_limit_density(params.intensity, beta), rho, 1.0 / beta, _MU_TOLERANCE)
+    return _log_newton(model, rho, 1.0 / beta, _MU_TOLERANCE)
 
 
 def condensate_density(params: ModelParams, beta: float, rho: float) -> CondensateReport:
@@ -397,11 +399,9 @@ def condensate_density(params: ModelParams, beta: float, rho: float) -> Condensa
     rho exactly at the critical density counts as condensed with zero
     condensate, so mu_limit is 0 there.
     """
-    _require_positive("rho", rho)
-    rho_c = critical_density(params, beta)
-    return CondensateReport(
-        rho_c=rho_c, rho_0=max(0.0, rho - rho_c), mu_limit=solve_mu_limit(params, beta, rho)
-    )
+    mu = solve_mu_limit(params, beta, rho)
+    rho_c = _limit_density(params.intensity, beta).rho_c
+    return CondensateReport(rho_c=rho_c, rho_0=max(0.0, rho - rho_c), mu_limit=mu)
 
 
 def condensate_finite(

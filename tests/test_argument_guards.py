@@ -82,9 +82,12 @@ CASES = {
     "solve_mu_finite rho": lambda v: thermo.solve_mu_finite(PART, 1.0, v),
     "solve_mu_limit beta": lambda v: thermo.solve_mu_limit(P, v, 0.1),
     "solve_mu_limit rho": lambda v: thermo.solve_mu_limit(P, 1.0, v),
+    "condensate_density beta": lambda v: thermo.condensate_density(P, v, 0.1),
     "condensate_density rho": lambda v: thermo.condensate_density(P, 1.0, v),
     "condensate_finite epsilon": lambda v: thermo.condensate_finite(PART, 1.0, 0.5, v),
+    "odlro beta": lambda v: corr.odlro(P, v, 0.1),
     "odlro rho": lambda v: corr.odlro(P, 1.0, v),
+    "kernel_with_condensate beta": lambda v: corr.kernel_with_condensate(P, v, 0.1, 1.0),
     "solve_mu_hierarchical rho": lambda v: hier.solve_mu_hierarchical(LAYOUT, 1.0, v),
     "decay_rate_fit r_window": lambda v: corr.decay_rate_fit(P, 1.0, -0.5, (5.0, v)),
 }
@@ -126,6 +129,25 @@ def test_nan_raises_what_a_non_positive_value_raises(case):
         with pytest.raises(ValueError, match=re.escape(case.split()[1])) as bad:
             call(value)
         assert type(bad.value) is type(non_positive.value), value
+
+
+#: the readers of the cached limit model of one (intensity, beta)
+LIMIT_MODEL_CASES = [
+    "condensate_density beta", "critical_density beta", "kernel_with_condensate beta",
+    "odlro beta", "pressure_limit beta", "solve_mu_limit beta",
+]
+
+
+@pytest.mark.parametrize("case", LIMIT_MODEL_CASES)
+def test_a_bad_beta_raises_before_a_limit_model_is_built(case, monkeypatch):
+    class Unbuildable(thermo._LimitState):
+        def __init__(self, *args):
+            raise AssertionError(f"a limit model was built at {args}")
+
+    monkeypatch.setattr(thermo, "_LimitState", Unbuildable)
+    for value in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="beta"):
+            CASES[case](value)
 
 
 def test_zero_delta_stays_allowed():

@@ -191,3 +191,16 @@ def test_one_function_holds_the_error_estimate():
                 inner = [f.name for f in funcs if f.lineno <= number <= f.end_lineno]
                 holders.append(f"{path.stem}.{inner[-1] if inner else '<module>'}")
     assert holders == ["numerics._gk21_rows"]
+
+
+def test_one_cache_holds_the_limit_model():
+    # the critical density, the limit mu solve and the pressure read one cached model
+    # per (intensity, beta), so no second per-pair cache can drift from it
+    path = pathlib.Path(bec1d.__file__).parent / "thermodynamics.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    cached = [
+        func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for decorator in func.decorator_list
+        if "cache" in ast.unparse(decorator)
+    ]
+    assert cached == ["_limit_density"]

@@ -39,6 +39,7 @@ from bec1d.numerics import (
     _bose_slope,
     _gap_occupations,
     _integrate_panels,
+    _log1mexps,
 )
 from bec1d.spectrum import TABLE_EXPONENT
 from bec1d.thermodynamics import (
@@ -52,6 +53,29 @@ from limit_quad_reference import _limit_integral
 from util import omitted_share_bound, partition, quad_bound
 
 PARAMS = ModelParams(1.0)
+
+#: float.hex of critical_density and of solve_mu_limit at (0.3, 0.9, 1 - 1e-7) rho_c on
+#: perfbench's (lambda, beta) grid, as computed before the two shared one limit model
+PINNED_LIMIT_VALUES = {
+    (0.5, 0.5): ("0x1.f4d9843ce7b5ap+0", ("-0x1.12327f0382deap-1", "-0x1.e23ed78b87e60p-7",
+                  "-0x1.8b047e8cd25fap-27")),
+    (0.5, 1.0): ("0x1.b8674da44aadbp-1", ("-0x1.8252c33a48079p-2", "-0x1.9ee81d785f2d8p-7",
+                  "-0x1.5cf8bc7120b19p-27")),
+    (0.5, 2.0): ("0x1.6f15e47c29ad6p-2", ("-0x1.01f0b231ce397p-2", "-0x1.5357871d97015p-7",
+                  "-0x1.264d7dbc41df7p-27")),
+    (1.0, 0.5): ("0x1.6f15e47c29ad6p-1", ("-0x1.01f0b231ce397p+0", "-0x1.5357871d9701bp-5",
+                  "-0x1.264d7db4f482ap-25")),
+    (1.0, 1.0): ("0x1.1bae94157b260p-2", ("-0x1.475c81fb8dae7p-1", "-0x1.050530c49efd1p-5",
+                  "-0x1.d3cf210b839e5p-26")),
+    (1.0, 2.0): ("0x1.8a1403310aa91p-4", ("-0x1.8c57f0ac7573cp-2", "-0x1.765e2faf81339p-6",
+                  "-0x1.5a30993d2a3e0p-26")),
+    (2.0, 0.5): ("0x1.8a1403310aa91p-3", ("-0x1.8c57f0ac7573ep+0", "-0x1.765e2faf8133dp-4",
+                  "-0x1.5a3099388af33p-24")),
+    (2.0, 1.0): ("0x1.d74c28e2a7bdcp-5", ("-0x1.cbba0b9249774p-1", "-0x1.f250d0c4cb044p-5",
+                  "-0x1.d94791ec460fep-25")),
+    (2.0, 2.0): ("0x1.c9a950a93e21fp-7", ("-0x1.00a22f4cf7a4ap-1", "-0x1.342ff23c3774fp-5",
+                  "-0x1.2a92bf8975239p-25")),
+}
 
 
 class TestFiniteVolume:
@@ -501,6 +525,15 @@ class TestMuSolvers:
         with pytest.raises(ValueError):
             solve_mu_finite(partition([1.0]), 1.0, 0.0)
 
+    @pytest.mark.parametrize("lam, beta", sorted(PINNED_LIMIT_VALUES))
+    def test_critical_density_and_limit_mu_are_pinned(self, lam, beta):
+        params = ModelParams(lam)
+        rho_c, mus = PINNED_LIMIT_VALUES[(lam, beta)]
+        assert critical_density(params, beta).hex() == rho_c
+        got = [solve_mu_limit(params, beta, f * float.fromhex(rho_c)).hex()
+               for f in (0.3, 0.9, 1.0 - 1e-7)]
+        assert got == list(mus)
+
     def test_nan_density_is_rejected(self):
         # NaN fails every comparison: a `rho <= 0` guard passes it on to the solver
         for solve in (solve_mu_limit, condensate_density):
@@ -528,8 +561,14 @@ def fresh_limit_states():
     thermodynamics._limit_density.cache_clear()
 
 
+def log1mexp(x: float) -> float:
+    """Scalar ln(1 - e^-x) for x > 0, in the form that keeps its digits on each side of ln 2."""
+    return math.log(-math.expm1(-x)) if x <= math.log(2.0) else math.log1p(-math.exp(-x))
+
+
 class TestLimitState:
-    """The limit mu solve reads one fixed first pass per (lambda, beta)."""
+    """The critical density, the limit mu solve and the pressure read one limit model per
+    (lambda, beta), which holds one fixed first pass."""
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
@@ -556,6 +595,62 @@ class TestLimitState:
             mu = beta_mu / beta
             assert state(mu) == tuple(two_owner_pass(lam, beta, mu))
         assert passes == [2, 2, 2]
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_pressure_equals_quad(self, lam, beta):
+        params = ModelParams(lam)
+        for beta_mu in (-10.0, -1.0, -0.1, -1e-4):
+            mu = beta_mu / beta
+            integral = -beta * pressure_limit(params, beta, mu)
+            direct = _limit_integral(params, beta, mu, log1mexp)
+            assert abs(integral - direct) <= quad_bound(integral) + quad_bound(direct)
+
+    @pytest.mark.parametrize("lam, beta", [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0)])
+    def test_a_rejected_pressure_read_returns_the_adaptive_pass(self, lam, beta, monkeypatch):
+        # the one-owner pass over the model's knots, not over those of mu
+        state = thermodynamics._LimitState(lam, beta)
+        state.budget = np.zeros_like(state.budget)
+        monkeypatch.setattr(thermodynamics, "_limit_density", lambda *args: state)
+        passes = []
+
+        def counted(*args, **kwargs):
+            passes.append(args[2])
+            return _integrate_panels(*args, **kwargs)
+
+        monkeypatch.setattr(thermodynamics, "_integrate_panels", counted)
+        for beta_mu in (-1.0, -0.1, -1e-4):
+            mu = beta_mu / beta
+
+            def integrand(q, _):
+                return _ids_weights_q(q, lam) * _log1mexps(beta * (q * q - mu))
+
+            adaptive = _integrate_panels(integrand, state.knots, 1, epsabs=1e-13, epsrel=1e-12)
+            assert pressure_limit(ModelParams(lam), beta, mu) == -adaptive[0] / beta
+        assert passes == [1, 1, 1]
+
+    def test_one_model_per_pair_across_its_readers(self, tmp_path, monkeypatch,
+                                                   fresh_limit_states):
+        builds = []
+
+        class Counted(thermodynamics._LimitState):
+            def __init__(self, *args):
+                builds.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(thermodynamics, "_LimitState", Counted)
+        rho = 0.5 * critical_density(PARAMS, 1.0)
+        condensate_density(PARAMS, 1.0, rho)
+        condensate_density(PARAMS, 1.0, 3.0 * rho)
+        pressure_limit(PARAMS, 1.0, -0.5)
+        code = cli.main([
+            "thermo", "--lambda", "1", "--beta", "1", "--rho", repr(rho),
+            "--l-ladder", "300 600", "--seeds", "2", "--out", str(tmp_path / "t.csv"),
+        ])
+        assert code == 0
+        pressure_limit(ModelParams(2.0), 0.5, -1.0)
+        critical_density(ModelParams(2.0), 0.5)
+        assert builds == [(1.0, 1.0), (2.0, 0.5)]
 
     def test_one_state_per_sweep_and_kernel(self, tmp_path, monkeypatch, fresh_limit_states):
         builds = []
