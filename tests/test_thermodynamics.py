@@ -55,7 +55,7 @@ from util import omitted_share_bound, partition, quad_bound
 PARAMS = ModelParams(1.0)
 
 #: float.hex of critical_density and of solve_mu_limit at (0.3, 0.9, 1 - 1e-7) rho_c on
-#: perfbench's (lambda, beta) grid, as computed before the two shared one limit model
+#: perfbench's (lambda, beta) grid: the limit model must keep both bit for bit
 PINNED_LIMIT_VALUES = {
     (0.5, 0.5): ("0x1.f4d9843ce7b5ap+0", ("-0x1.12327f0382deap-1", "-0x1.e23ed78b87e60p-7",
                   "-0x1.8b047e8cd25fap-27")),
