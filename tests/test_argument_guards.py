@@ -119,6 +119,45 @@ FINITE_CASES = {
 }
 
 
+def profile(box_length: float, rho: float) -> hier.OccupationProfile:
+    """A hand-built profile with one macroscopic state in its one large interval."""
+    return hier.OccupationProfile(
+        large=np.array([0.5, 1e-3]), small=np.array([1e-3]), large_count=1, small_count=10,
+        mu_used=-1e-6, box_length=box_length, rho=rho, rho_c=1.0,
+    )
+
+
+# counts, sizes and shapes out of range: a call and the ValueError message it must raise
+VALUE_ERROR_CASES = {
+    "spacing_probability_mc trials":
+        (lambda: loc.spacing_probability_mc(10, 1.0, 0.5, 1.0, 0), "trials must be >= 1"),
+    "largest_interval_scaling trials":
+        (lambda: loc.largest_interval_scaling(1.0, 100.0, 0, 0), "trials must be >= 1"),
+    "IntervalPartition empty lengths":
+        (lambda: geo.IntervalPartition(np.array([]), 1.0), "non-empty 1-d"),
+    "IntervalPartition 2-d lengths":
+        (lambda: geo.IntervalPartition(np.ones((2, 2)), 4.0), "non-empty 1-d"),
+    "sample_ordered_lengths k": (lambda: geo.sample_ordered_lengths(1.0, 0, 0), "k must be >= 1"),
+    "expected_largest k": (lambda: geo.expected_largest(1.0, 0), "k must be >= 1"),
+    "expected_second_largest k": (lambda: geo.expected_second_largest(1.0, 1), "k must be >= 2"),
+    "dirichlet_eigenvalue mode": (lambda: spec.dirichlet_eigenvalue(1.0, 0), "mode must be >= 1"),
+    "dirichlet_eigenfunction mode":
+        (lambda: spec.dirichlet_eigenfunction(1.0, 0.0, 0, 0.5), "mode must be >= 1"),
+    # (10 - 8 ln 10) / 2 < 0: eight large intervals leave no room for the small ones
+    "build_layout small length":
+        (lambda: build_layout("type1", 10.0, 1.0, 8), "small_length .* is not positive"),
+    "classify_condensate rho": (lambda: hier.classify_condensate(
+        [profile(1e4, 2.0), profile(1e5, 2.0), profile(1e6, 3.0)]), "same target"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALUE_ERROR_CASES))
+def test_out_of_range_counts_and_shapes_raise_value_error(case):
+    call, message = VALUE_ERROR_CASES[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_nan_raises_what_a_non_positive_value_raises(case):
     call = CASES[case]

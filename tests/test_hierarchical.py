@@ -336,6 +336,25 @@ class TestClassifier:
         result = classify_condensate(mixed)
         assert result.label is CondensateType.INDETERMINATE
 
+    @pytest.mark.parametrize("larges", [
+        # the last box has no macroscopic state
+        ([0.9, 1e-3], [0.9, 1e-3], [1e-3, 1e-3]),
+        # one host thins to a single state, but it holds 0.3 rho0 < 0.5 rho0
+        ([0.5, 0.4], [0.6, 1e-3], [0.3, 1e-3]),
+        # one host throughout, but its macroscopic states run 1, 2, 1
+        ([0.9, 1e-3], [0.5, 0.4], [0.9, 1e-3]),
+    ])
+    def test_hand_built_conflicts_are_indeterminate(self, larges):
+        # rho0 = 1, so a state is macroscopic above 0.01; the small intervals hold none
+        profiles = [
+            hierarchical.OccupationProfile(
+                large=np.array(large), small=np.array([1e-3]), large_count=1, small_count=10,
+                mu_used=-1e-6, box_length=box, rho=2.0, rho_c=1.0,
+            )
+            for box, large in zip(LADDER, larges)
+        ]
+        assert classify_condensate(profiles).label is CondensateType.INDETERMINATE
+
     def test_ladder_validation(self):
         profiles = self._profiles("type1")
         with pytest.raises(ValueError):
