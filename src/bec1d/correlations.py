@@ -19,11 +19,12 @@ occupation. The integrand is smooth between the knots y = n, which makes two
 independent evaluation routes natural: panel-adaptive quadrature between
 knots, and the absolutely convergent mode-index series of windowed integrals.
 
-Both routes integrate with numerics._gauss_kronrod, QUADPACK's G10K21 rule and
-error estimate applied to arrays of panels at once: every knot panel in one
-call, or every series term of a chunk (128 terms, doubling up to 8192), each
-term's window first cut into pieces no longer than one period 2 C / r of
-cos(pi y). A subpanel is accepted once its estimate is at most
+Both routes cut with numerics._first_pass, the one cut, and integrate the cut
+with numerics._gauss_kronrod, the one loop: QUADPACK's G10K21 rule and error
+estimate applied to arrays of subpanels at once. The panel route cuts every
+knot panel in one call; the series cuts the window of every term of a chunk
+(128 terms, doubling up to 8192) into pieces no longer than one period
+2 C / r of cos(pi y). A subpanel is accepted once its estimate is at most
 max(1e-16 * its share of its panel or window, 5e-13 * |its integral|); only
 failing subpanels are bisected. So each route's error is at most 5e-13 of its
 absolute integral plus 1e-16 per panel or term, times the prefactor. The
@@ -47,7 +48,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .errors import ConvergenceError, _require_below, _require_positive
-from .numerics import EXP_CUTOFF, _bose_factor, _bose_occupations, _gauss_kronrod
+from .numerics import EXP_CUTOFF, _bose_factor, _bose_occupations, _first_pass, _gauss_kronrod
 from .poisson_geometry import IntervalPartition
 from .spectrum import C, LevelTable, ModelParams, _leading_levels
 from .thermodynamics import (
@@ -130,10 +131,9 @@ def _kernel_integral_panels(intensity: float, beta: float, mu: float, r: float) 
     knot = C / r
     edges = np.append(knot * np.arange(int(qmax / knot) + 1), qmax)
     edges = edges[np.append(True, np.diff(edges) > 0.0)]
+    cut = _first_pass(edges[:-1], edges[1:], np.zeros(edges.size - 1, dtype=int), _EPSABS)
     total, _, _ = _gauss_kronrod(
-        lambda q, _: _limit_integrand(q, intensity, beta, mu, r),
-        edges[:-1], edges[1:], np.zeros(edges.size - 1, dtype=int), 1, _EPSABS, _EPSREL,
-    )
+        lambda q, _: _limit_integrand(q, intensity, beta, mu, r), *cut, 1, _EPSREL)
     return math.exp(-intensity * r) * intensity * intensity * C * float(total[0])
 
 
@@ -177,10 +177,9 @@ def _kernel_integral_series(intensity: float, beta: float, mu: float, r: float) 
     first, size = 1, _SERIES_CHUNK
     while first < cap:
         modes = np.arange(first, min(first + min(size, most), cap), dtype=float)
-        terms, errors, _ = _gauss_kronrod(
-            integrand, np.zeros(modes.size), np.minimum(C * modes / r, qmax),
-            np.arange(modes.size), modes.size, _EPSABS, _EPSREL, width,
-        )
+        cut = _first_pass(np.zeros(modes.size), np.minimum(C * modes / r, qmax),
+                          np.arange(modes.size), _EPSABS, width)
+        terms, errors, _ = _gauss_kronrod(integrand, *cut, modes.size, _EPSREL)
         for s, term, err in zip(modes.tolist(), terms.tolist(), errors.tolist()):
             total += term
             abserr += err

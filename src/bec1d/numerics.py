@@ -17,6 +17,14 @@ occupation splits x = a + y over levels sharing y: with A = e^a - 1 per level
 states of the model is itself a Bose function, N(E) = lam n(C lam / sqrt(E)),
 so its density of states is a slope.
 
+The batched G10K21 layer (QUADPACK's qk21 rule and error estimate) has one
+cut and one loop. _first_pass is the one cut: it splits arrays of panels into
+subpanels, each with an owner and a share of its panel's absolute budget.
+_gauss_kronrod is the one loop: it runs the rule on such a cut, accepts, sums
+per owner and bisects what fails. _integrate_panels cuts knot panels
+(_knot_cut) and runs the loop; the kernel routes cut their own panels, and a
+caller that holds a cut, as the limit model does, runs the loop on it.
+
 Per-step array kernels write into work arrays allocated once per call (the
 `out=` of numpy ufuncs and of _bose_occupations): a fresh temporary of 50k
 doubles or more page-faults anew on every Newton step or separation.
@@ -236,18 +244,15 @@ def _gk21_rows(fx, half):
     return kronrod * half, estimate * np.abs(half)
 
 
-def _gk21(f, lo, hi, owner):
-    """G10K21 on each subpanel [lo_i, hi_i] of f(x, owner): _gk21_rows at _gk21_nodes."""
-    x, half = _gk21_nodes(lo, hi)
-    return _gk21_rows(f(x, owner[:, None]), half)
-
-
 def _first_pass(a, b, owner, epsabs, width=math.inf):
-    """The first-pass subpanels of _gauss_kronrod over panels [a_i, b_i]: their ends lo
-    and hi, their owners, and their budgets, each an equal share of its panel's epsabs.
+    """The one first-pass cut of the G10K21 layer, over panels [a_i, b_i]: the ends lo and
+    hi of the subpanels, their owners and their budgets, each an equal share of its
+    panel's epsabs; _gauss_kronrod runs on it.
 
     Every panel is cut into equal pieces no wider than `width`, and the panels into at
-    least _GK_MIN_SUBPANELS pieces in all.
+    least _GK_MIN_SUBPANELS pieces in all. A single rule over many oscillations or a
+    narrow peak can return a wrong value with a small estimate; `width` is the caller's
+    scale of the integrand's features.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     # the minimum split also spares a handful of panels one round of array
@@ -269,36 +274,31 @@ def _accepted(value, estimate, budget, epsrel):
     return estimate <= np.maximum(budget, epsrel * np.abs(value))
 
 
-def _gauss_kronrod(f, a, b, owner, n_owners, epsabs, epsrel, width=math.inf):
-    """Adaptive G10K21 quadrature over arrays of panels [a_i, b_i], summed per owner.
+def _gauss_kronrod(f, lo, hi, owner, budget, n_owners, epsrel):
+    """The adaptive G10K21 loop over subpanels [lo_i, hi_i] cut by _first_pass, with their
+    owners and budgets, summed per owner.
 
     f(x, owner) evaluates the integrand at an array of nodes x, one row per
     subpanel, with `owner` the matching column of owner indices. Returns the
     integral, the summed error estimate and the number of integrand
     evaluations for each of the n_owners owners.
 
-    The first pass (_first_pass) cuts every panel into pieces no wider than
-    `width`, and the panels into at least _GK_MIN_SUBPANELS pieces in all. A
-    single rule over many oscillations or a narrow peak can return a wrong
-    value with a small estimate; `width` is the caller's scale of the
-    integrand's features.
-
     A subpanel is accepted (_accepted) once its error estimate (_gk21_rows) is
-    at most max(epsabs * its share of its initial panel, epsrel * |its
-    integral|), so a panel's accepted estimates sum to at most epsabs + epsrel
-    times its absolute integral. Only failing subpanels are bisected; one still
-    failing after _GK_MAX_ROUNDS rounds raises ConvergenceError. f sees at most
-    _GK_BLOCK rows per call, which bounds the integrand's temporaries; the
-    caller bounds the number of panels.
+    at most max(its budget, epsrel * |its integral|), so the accepted estimates
+    of a first-pass panel sum to at most its epsabs plus epsrel times its
+    absolute integral. Only failing subpanels are bisected, each half with half
+    the budget; one still failing after _GK_MAX_ROUNDS rounds raises
+    ConvergenceError. f sees at most _GK_BLOCK rows per call, which bounds the
+    integrand's temporaries; the caller bounds the number of subpanels.
     """
-    lo, hi, owner, budget = _first_pass(a, b, owner, epsabs, width)
     total, error = np.zeros(n_owners), np.zeros(n_owners)
     neval = np.zeros(n_owners, dtype=np.int64)
     for _ in range(_GK_MAX_ROUNDS):
         value, estimate = np.empty(lo.size), np.empty(lo.size)
         for start in range(0, lo.size, _GK_BLOCK):
             rows = slice(start, start + _GK_BLOCK)
-            value[rows], estimate[rows] = _gk21(f, lo[rows], hi[rows], owner[rows])
+            x, half = _gk21_nodes(lo[rows], hi[rows])
+            value[rows], estimate[rows] = _gk21_rows(f(x, owner[rows, None]), half)
         done = _accepted(value, estimate, budget, epsrel)
         total += np.bincount(owner[done], value[done], n_owners)
         error += np.bincount(owner[done], estimate[done], n_owners)
@@ -316,22 +316,21 @@ def _gauss_kronrod(f, a, b, owner, n_owners, epsabs, epsrel, width=math.inf):
     )
 
 
-def _knot_panels(edges, owners, epsabs):
-    """The _gauss_kronrod panels of _integrate_panels: every knot panel [edges[i],
-    edges[i + 1]] once per owner, with the owners and each panel's even share of epsabs."""
+def _knot_cut(edges, owners, epsabs):
+    """The first-pass cut of _integrate_panels: every knot panel [edges[i], edges[i + 1]]
+    once per owner, owner 0's panels first, each with an even share of epsabs."""
     count = len(edges) - 1
-    return (np.tile(edges[:-1], owners), np.tile(edges[1:], owners),
-            np.repeat(np.arange(owners), count), epsabs / count)
+    return _first_pass(np.tile(edges[:-1], owners), np.tile(edges[1:], owners),
+                       np.repeat(np.arange(owners), count), epsabs / count)
 
 
 def _integrate_panels(f, edges, owners, epsabs, epsrel) -> list[float]:
-    """Integrals of f(x, owner) over [edges[0], edges[-1]], one per owner < owners.
+    """Integrals of f(x, owner) over [edges[0], edges[-1]], one per owner < owners: the
+    _gauss_kronrod loop on _knot_cut(edges, owners, epsabs).
 
-    Each knot panel [edges[i], edges[i + 1]] is one _gauss_kronrod panel per
-    owner, and epsabs, the whole integral's budget, is split evenly over the
-    panels (_knot_panels): each integral's summed error estimate is at most
-    epsabs plus epsrel times its absolute integral, quad's bound.
+    epsabs, the whole integral's budget, is split evenly over the knot panels, so
+    each integral's summed error estimate is at most epsabs plus epsrel times its
+    absolute integral, quad's bound.
     """
-    a, b, owner, share = _knot_panels(edges, owners, epsabs)
-    value, _, _ = _gauss_kronrod(f, a, b, owner, owners, share, epsrel)
+    value, _, _ = _gauss_kronrod(f, *_knot_cut(edges, owners, epsabs), owners, epsrel)
     return value.tolist()

@@ -28,20 +28,20 @@ stays an independent check of the cut.
 The critical density, the limit chemical-potential solve and the limit
 pressure read one limit model per (intensity, beta), built once and cached
 (_limit_density). It holds the critical density (density_limit at mu = 0, on
-quad) and the first round of a two-owner numerics._integrate_panels pass, the
-batched G10K21 rule at quad's bound (1e-13 split over the knot panels plus
-1e-12 of the integral), over _limit_knots (0, the knee sqrt(1/beta + mu),
-1/sqrt(beta), q_max) at mu = -1/beta, as no mu < 0 moves the range: the
-subpanels' G10K21 nodes with q^2 and the density-of-states measure w(q), their
-half-widths and budgets, owner 0's subpanels first. A read at mu forms one row
-per owner from one pass over the nodes and returns their G10K21 sums when
-every subpanel's QUADPACK estimate (numerics._gk21_rows) is at most its share
-of 1e-13 or 1e-12 of its integral, and the adaptive pass over the model's
-knots otherwise. A Newton step reads the density w n and its slope
-w beta n (n + 1), n the Bose occupation, as two owners: exactly what the
-two-owner adaptive pass returns. The pressure reads w ln(1 - e^{-beta (q^2 - mu)}) on
-owner 0's subpanels. density_limit stays on quad over the knots of its mu, the
-independent certificate of the solved mu.
+quad) and the first-pass cut (numerics._knot_cut) of a two-owner
+numerics._integrate_panels pass at quad's bound (1e-13 split over the knot
+panels plus 1e-12 of the integral) over _limit_knots (0, the knee
+sqrt(1/beta + mu), 1/sqrt(beta), q_max) at mu = -1/beta, as no mu < 0 moves
+the range: the subpanels, owner 0's first, with their budgets, G10K21 nodes,
+q^2 and density-of-states measure w(q). A read at mu forms one row per owner
+over the nodes of a prefix of the cut and returns their G10K21 sums when every
+subpanel passes numerics._accepted, and otherwise runs the
+numerics._gauss_kronrod loop on that same prefix: the model falls back on its
+own cut. A Newton step reads the density w n and its slope w beta n (n + 1),
+n the Bose occupation, as two owners: exactly what the two-owner pass returns.
+The pressure reads w ln(1 - e^{-beta (q^2 - mu)}) on owner 0's subpanels.
+density_limit stays on quad over the knots of its mu, the independent
+certificate of the solved mu.
 
 The finite chemical-potential solve splits the level table once, at the
 energy E0 + 4/beta above its ground level E0, with one comparison per level.
@@ -84,12 +84,12 @@ from .numerics import (
     _bose_occupations,
     _bose_slope,
     _bose_slopes,
-    _first_pass,
     _gap_occupations,
+    _gauss_kronrod,
     _gk21_nodes,
     _gk21_rows,
     _integrate_panels,
-    _knot_panels,
+    _knot_cut,
     _log1mexps,
     _log_newton,
 )
@@ -190,7 +190,7 @@ def pressure_limit(params: ModelParams, beta: float, mu: float) -> float:
 
     Read off the cached limit model of (intensity, beta) (_limit_density): the G10K21
     sums on its owner-0 subpanels if each estimate is at most its share of 1e-13 or
-    1e-12 of its part, else the adaptive pass over its knots; either way the summed
+    1e-12 of its part, else the adaptive loop on those subpanels; either way the summed
     estimate stays within 1e-12 |p| + 1e-13 / beta.
     """
     _require_positive("beta", beta)
@@ -317,35 +317,35 @@ def solve_mu_finite(
 
 class _LimitState:
     """The limit model of one (intensity, beta), cached by _limit_density: rho_c and the
-    first round of the two-owner _integrate_panels pass over the knots of mu = -1/beta.
-    Called at mu it returns exactly what that pass returns (density, slope): if every
-    subpanel is accepted, the pass stops after this round with the same sums in order."""
+    first-pass cut of the two-owner _integrate_panels pass over the knots of mu = -1/beta.
+    A read sums a prefix of the cut and falls back on the _gauss_kronrod loop over that
+    prefix, so called at mu it returns exactly what the pass returns (density, slope)."""
 
     def __init__(self, intensity: float, beta: float):
         self.intensity, self.beta = intensity, beta
         self.rho_c = density_limit(ModelParams(intensity), beta, 0.0)
-        self.knots = _limit_knots(beta, -1.0 / beta, intensity)
-        lo, hi, self.owner, self.budget = _first_pass(
-            *_knot_panels(self.knots, 2, _TOLERANCE["epsabs"]))
-        q, self.half = _gk21_nodes(lo, hi)
+        self.lo, self.hi, self.owner, self.budget = _knot_cut(
+            _limit_knots(beta, -1.0 / beta, intensity), 2, _TOLERANCE["epsabs"])
+        q, self.half = _gk21_nodes(self.lo, self.hi)
         q = q[self.owner == 0]  # owner 1 integrates over the same subpanels
         self.q2, self.weights = q * q, _ids_weights_q(q, intensity)
-        for held in (self.knots, self.owner, self.budget, self.half, self.q2, self.weights):
+        for held in (self.lo, self.hi, self.owner, self.budget, self.half, self.q2, self.weights):
             held.flags.writeable = False  # the cache hands one model to every caller
 
     def _integrals(self, owners: int, rows) -> list[float]:
         """Integrals over the knots of rows(q^2, w(q)), one row array per owner: the G10K21
         sums over the held subpanels of the first `owners` owners if all pass
-        numerics._accepted, else the adaptive _integrate_panels pass."""
-        held = owners * self.q2.shape[0]
-        value, estimate = _gk21_rows(np.concatenate(rows(self.q2, self.weights)), self.half[:held])
-        if _accepted(value, estimate, self.budget[:held], _TOLERANCE["epsrel"]).all():
-            return np.bincount(self.owner[:held], value, owners).tolist()
+        numerics._accepted, else the _gauss_kronrod loop on those subpanels."""
+        held = slice(owners * self.q2.shape[0])
+        value, estimate = _gk21_rows(np.concatenate(rows(self.q2, self.weights)), self.half[held])
+        if _accepted(value, estimate, self.budget[held], _TOLERANCE["epsrel"]).all():
+            return np.bincount(self.owner[held], value, owners).tolist()
 
         def integrand(q, owner):
             return np.choose(owner, rows(q * q, _ids_weights_q(q, self.intensity)))
 
-        return _integrate_panels(integrand, self.knots, owners, **_TOLERANCE)
+        cut = self.lo[held], self.hi[held], self.owner[held], self.budget[held]
+        return _gauss_kronrod(integrand, *cut, owners, _TOLERANCE["epsrel"])[0].tolist()
 
     def __call__(self, mu: float) -> tuple[float, float]:
         beta = self.beta
@@ -367,9 +367,9 @@ def _limit_density(intensity: float, beta: float) -> _LimitState:
     """The limit model of (intensity, beta), built once per pair and cached: the one
     object behind critical_density, solve_mu_limit's Newton steps and pressure_limit.
 
-    It holds rho_c and the first-pass subpanels (18 per owner on the benchmark grid) of
-    the two-owner pass over _limit_knots(beta, -1/beta, intensity), which no mu < 0
-    moves: their G10K21 nodes with q^2 and w(q), half-widths and budgets. Called at
+    It holds rho_c and the first-pass cut (18 subpanels per owner on the benchmark
+    grid) of the two-owner pass over _limit_knots(beta, -1/beta, intensity), which no
+    mu < 0 moves, with the cut's G10K21 nodes, q^2, w(q) and half-widths. Called at
     mu < 0 it returns (density_limit, d density_limit / d mu) (_LimitState).
     """
     return _LimitState(intensity, beta)

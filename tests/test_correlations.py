@@ -189,7 +189,7 @@ class TestSeriesErrorCheck:
 
         def inflated(*args):
             value, error, neval = numerics._gauss_kronrod(*args)
-            calls.append(args[4])
+            calls.append(args[5])
             return value, 1e9 * error, neval
 
         monkeypatch.setattr(correlations, "_gauss_kronrod", inflated)

@@ -6,6 +6,7 @@ scan keeps it so.
 """
 
 import ast
+import inspect
 import math
 import pathlib
 import re
@@ -16,14 +17,14 @@ import pytest
 import bec1d
 from bec1d import ConvergenceError
 from bec1d import numerics
-from bec1d.numerics import _gauss_kronrod, _integrate_panels
+from bec1d.numerics import _first_pass, _gauss_kronrod, _integrate_panels
 
 
 def integrate(func, a, b, epsabs=1e-14, epsrel=1e-13):
     """One owner over the panels [a_i, b_i] of an integrand of x alone."""
     a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
     value, error, neval = _gauss_kronrod(
-        lambda x, _: func(x), a, b, np.zeros(a.size, dtype=int), 1, epsabs, epsrel
+        lambda x, _: func(x), *_first_pass(a, b, np.zeros(a.size, dtype=int), epsabs), 1, epsrel
     )
     return float(value[0]), float(error[0]), int(neval[0])
 
@@ -51,7 +52,7 @@ class TestExactness:
     def test_first_pass_pieces_are_no_wider_than_width(self):
         # 50 pieces of width 0.2 over [0, 10], each accepted at once
         value, _, neval = _gauss_kronrod(
-            lambda x, _: x * x, [0.0], [10.0], [0], 1, 1e-14, 1e-13, 0.2
+            lambda x, _: x * x, *_first_pass([0.0], [10.0], [0], 1e-14, 0.2), 1, 1e-13
         )
         assert neval[0] == 21 * 50
         assert value[0] == pytest.approx(1000.0 / 3.0, rel=1e-14)
@@ -92,12 +93,15 @@ class TestOwners:
         a = np.array([0.0, 1.0, 0.0, 0.0, 2.0])
         b = np.array([1.0, 3.0, 4.0, 2.0, 5.0])
         owner = np.array([0, 0, 1, 2, 2])
-        value, error, neval = _gauss_kronrod(self.integrand, a, b, owner, 3, 1e-14, 1e-13)
+        value, error, neval = _gauss_kronrod(
+            self.integrand, *_first_pass(a, b, owner, 1e-14), 3, 1e-13
+        )
         exact = [1.0 - math.cos(3.0), -math.expm1(-4.0), 125.0 / 3.0]
         for j in range(3):
             mine = owner == j
             alone = _gauss_kronrod(
-                self.integrand, a[mine], b[mine], np.full(mine.sum(), j), 3, 1e-14, 1e-13
+                self.integrand, *_first_pass(a[mine], b[mine], np.full(mine.sum(), j), 1e-14),
+                3, 1e-13,
             )
             assert value[j] == pytest.approx(alone[0][j], rel=1e-14)
             assert value[j] == pytest.approx(exact[j], rel=1e-13)
@@ -106,7 +110,7 @@ class TestOwners:
 
     def test_an_owner_without_panels_gets_zero(self):
         value, error, neval = _gauss_kronrod(
-            self.integrand, [0.0], [1.0], [2], 4, 1e-14, 1e-13
+            self.integrand, *_first_pass([0.0], [1.0], [2], 1e-14), 4, 1e-13
         )
         assert value[2] == pytest.approx(1.0 / 3.0, rel=1e-14)
         assert value[[0, 1, 3]].tolist() == [0.0, 0.0, 0.0]
@@ -118,7 +122,8 @@ class TestOwners:
         # bound the kernel routes' tolerance is written in
         a, b = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 30.0])
         value, error, _ = _gauss_kronrod(
-            lambda x, _: 1.0 / (1.0 + x * x), a, b, np.zeros(3, dtype=int), 1, 1e-15, 1e-13
+            lambda x, _: 1.0 / (1.0 + x * x), *_first_pass(a, b, np.zeros(3, dtype=int), 1e-15),
+            1, 1e-13,
         )
         assert error[0] <= 3 * 1e-15 + 1e-13 * value[0]
 
@@ -142,8 +147,8 @@ class TestKnotPanels:
         knots = [0.0, 1.0, 2.0, 30.0]
         (value,) = _integrate_panels(lambda x, _: 1.0 / (1.0 + x * x), knots, 1, 3e-15, 1e-13)
         direct, _, _ = _gauss_kronrod(
-            lambda x, _: 1.0 / (1.0 + x * x), knots[:-1], knots[1:], np.zeros(3, dtype=int), 1,
-            1e-15, 1e-13,
+            lambda x, _: 1.0 / (1.0 + x * x),
+            *_first_pass(knots[:-1], knots[1:], np.zeros(3, dtype=int), 1e-15), 1, 1e-13,
         )
         assert value == float(direct[0])
         assert value == pytest.approx(math.atan(30.0), rel=1e-13)
@@ -191,6 +196,27 @@ def test_one_function_holds_the_error_estimate():
                 inner = [f.name for f in funcs if f.lineno <= number <= f.end_lineno]
                 holders.append(f"{path.stem}.{inner[-1] if inner else '<module>'}")
     assert holders == ["numerics._gk21_rows"]
+
+
+def test_one_function_cuts_and_one_loop_integrates():
+    # _first_pass is the one cut: the knot passes cut through _knot_cut, the two kernel
+    # routes cut their own panels, and the loop takes a cut, with no budget or width
+    package = pathlib.Path(bec1d.__file__).parent
+    cutters = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            cutters += [
+                f"{path.stem}.{getattr(top, 'name', '<module>')}" for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_first_pass"
+            ]
+    assert cutters == [
+        "correlations._kernel_integral_panels",
+        "correlations._kernel_integral_series",
+        "numerics._knot_cut",
+    ]
+    loop = inspect.signature(_gauss_kronrod).parameters
+    assert "epsabs" not in loop and "width" not in loop
 
 
 def test_one_cache_holds_the_limit_model():

@@ -38,6 +38,7 @@ from bec1d.numerics import (
     _bose_occupations,
     _bose_slope,
     _gap_occupations,
+    _gauss_kronrod,
     _integrate_panels,
     _log1mexps,
 )
@@ -554,6 +555,31 @@ def two_owner_pass(lam, beta, mu):
                              epsabs=1e-13, epsrel=1e-12)
 
 
+def owner_zero_pressure_loop(state, mu):
+    """The pressure by the _gauss_kronrod loop on a limit state's owner-0 subpanels, at
+    quad's bound."""
+    beta, lam = state.beta, state.intensity
+    held = state.owner == 0
+
+    def integrand(q, _):
+        return _ids_weights_q(q, lam) * _log1mexps(beta * (q * q - mu))
+
+    cut = state.lo[held], state.hi[held], state.owner[held], state.budget[held]
+    return -_gauss_kronrod(integrand, *cut, 1, 1e-12)[0][0] / beta
+
+
+def counted_loops(monkeypatch):
+    """The owner count of each _gauss_kronrod loop thermodynamics runs from now on."""
+    loops = []
+
+    def counted(*args):
+        loops.append(args[5])
+        return _gauss_kronrod(*args)
+
+    monkeypatch.setattr(thermodynamics, "_gauss_kronrod", counted)
+    return loops
+
+
 @pytest.fixture
 def fresh_limit_states():
     thermodynamics._limit_density.cache_clear()
@@ -584,17 +610,11 @@ class TestLimitState:
         # with no absolute budget some subpanels fail the first round at every point
         state = thermodynamics._LimitState(lam, beta)
         state.budget = np.zeros_like(state.budget)
-        passes = []
-
-        def counted(*args, **kwargs):
-            passes.append(args[2])
-            return _integrate_panels(*args, **kwargs)
-
-        monkeypatch.setattr(thermodynamics, "_integrate_panels", counted)
+        loops = counted_loops(monkeypatch)
         for beta_mu in (-1.0, -0.1, -1e-4):
             mu = beta_mu / beta
             assert state(mu) == tuple(two_owner_pass(lam, beta, mu))
-        assert passes == [2, 2, 2]
+        assert loops == [2, 2, 2]
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
@@ -608,26 +628,29 @@ class TestLimitState:
 
     @pytest.mark.parametrize("lam, beta", [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0)])
     def test_a_rejected_pressure_read_returns_the_adaptive_pass(self, lam, beta, monkeypatch):
-        # the one-owner pass over the model's knots, not over those of mu
+        # the one-owner loop on owner 0's held subpanels, not a new cut of the knots
         state = thermodynamics._LimitState(lam, beta)
         state.budget = np.zeros_like(state.budget)
         monkeypatch.setattr(thermodynamics, "_limit_density", lambda *args: state)
-        passes = []
-
-        def counted(*args, **kwargs):
-            passes.append(args[2])
-            return _integrate_panels(*args, **kwargs)
-
-        monkeypatch.setattr(thermodynamics, "_integrate_panels", counted)
+        loops = counted_loops(monkeypatch)
         for beta_mu in (-1.0, -0.1, -1e-4):
             mu = beta_mu / beta
+            adaptive = owner_zero_pressure_loop(state, mu)
+            assert pressure_limit(ModelParams(lam), beta, mu) == adaptive
+        assert loops == [1, 1, 1]
 
-            def integrand(q, _):
-                return _ids_weights_q(q, lam) * _log1mexps(beta * (q * q - mu))
-
-            adaptive = _integrate_panels(integrand, state.knots, 1, epsabs=1e-13, epsrel=1e-12)
-            assert pressure_limit(ModelParams(lam), beta, mu) == -adaptive[0] / beta
-        assert passes == [1, 1, 1]
+    @pytest.mark.parametrize("lam, beta", [(0.1, 0.5), (0.05, 0.05)])
+    def test_a_natural_fallback_runs_one_loop_on_the_held_cut(self, lam, beta, monkeypatch):
+        # here the held round fails at every point with its own budgets: the density read
+        # is the two-owner pass, and the pressure read the loop on owner 0's subpanels
+        state = _limit_density(lam, beta)
+        loops = counted_loops(monkeypatch)
+        for beta_mu in (-1.0, -0.1, -1e-4):
+            mu = beta_mu / beta
+            assert state(mu) == tuple(two_owner_pass(lam, beta, mu))
+            assert pressure_limit(ModelParams(lam), beta, mu) == owner_zero_pressure_loop(
+                state, mu)
+        assert loops == [2, 1] * 3
 
     def test_one_model_per_pair_across_its_readers(self, tmp_path, monkeypatch,
                                                    fresh_limit_states):
