@@ -173,7 +173,7 @@ class TestSeriesErrorCheck:
         calls = []
 
         def counted(*args):
-            calls.append(args[4])
+            calls.append(args[5])  # the owner count, one per term
             return numerics._gauss_kronrod(*args)
 
         monkeypatch.setattr(numerics, "_GK_MAX_ROUNDS", 1)
@@ -181,7 +181,17 @@ class TestSeriesErrorCheck:
         beta = 1e-3
         with pytest.raises(ConvergenceError, match="unresolved"):
             kernel_limit(ModelParams(0.1), beta, -1.0 / beta, 5.0, method="series")
-        assert len(calls) == 1
+        assert calls == [118]
+
+    def test_terms_that_never_fall_exhaust_the_cap(self, monkeypatch):
+        # unit terms with zero estimates: no term is ever small against the sum and no
+        # estimate exceeds the tolerance, so the series runs to its cap and gives up
+        def unit_terms(integrand, lo, hi, owner, budget, n_owners, epsrel):
+            return np.ones(n_owners), np.zeros(n_owners), 0
+
+        monkeypatch.setattr(correlations, "_gauss_kronrod", unit_terms)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            kernel_limit(PARAMS, 1.0, -0.5, 5.0, method="series")
 
     def test_summed_estimate_beyond_tolerance_raises(self, monkeypatch):
         # estimates inflated a billionfold exceed 5e-13 of the density at once

@@ -242,6 +242,10 @@ class TestIdsLimit:
         with pytest.raises(ConvergenceError, match="100000 terms"):
             ids_series(ModelParams(1.0), energy)
 
+    def test_series_returns_zero_where_its_ratio_underflows(self):
+        # w = e^{-C / sqrt(1e-6)} = e^{-2221} is 0.0, so the series has no term
+        assert ids_series(ModelParams(1.0), 1e-6) == 0.0 == ids_limit(ModelParams(1.0), 1e-6)
+
     def test_half_weight_energy_gives_intensity(self):
         lam = 1.7
         energy = (C * lam / math.log(2.0)) ** 2
