@@ -46,7 +46,6 @@ from .thermodynamics import (
     critical_density_by_parts,
     density_finite,
     density_limit,
-    level_table,
     pressure_finite,
     pressure_limit,
     solve_mu_finite,

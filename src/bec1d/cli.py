@@ -37,7 +37,7 @@ from .poisson_geometry import (
     sample_poisson_partition,
 )
 from .rng import trial_rng
-from .spectrum import ModelParams, counting_function, ids_limit
+from .spectrum import ModelParams, build_level_table, counting_function, ids_limit
 from .correlations import kernel_finite, kernel_limit
 from .hierarchical import (
     LayoutKind,
@@ -52,7 +52,6 @@ from .thermodynamics import (
     critical_density,
     density_finite,
     density_limit,
-    level_table,
     solve_mu_finite,
     solve_mu_limit,
 )
@@ -226,13 +225,14 @@ def _run_thermo(cfg: ExperimentConfig):
         observable, fixed = "mu", cfg.rho
         analytic_value = solve_mu_limit(params, cfg.beta, cfg.rho)
 
-        def finite(part, beta, rho):
+        def finite(table, rho):
             # Newton starts from the limit mu of the same rho
-            return solve_mu_finite(part, beta, rho, start=analytic_value)
+            return solve_mu_finite(table, rho, start=analytic_value)
 
     def per_trial(trial):
         # every box draws its partition afresh from the trial's stream
-        return lambda box: finite(_trial_partition(cfg, box, trial), cfg.beta, fixed)
+        return lambda box: finite(build_level_table(_trial_partition(cfg, box, trial), cfg.beta),
+                                  fixed)
 
     rows = _mc_rows(cfg, "box_length", cfg.l_ladder or [cfg.box_length], per_trial,
                     lambda _: analytic_value, observable=observable)
@@ -250,11 +250,11 @@ def _run_correlate(cfg: ExperimentConfig):
     analytic = {r: rho_0 + kernel_limit(params, cfg.beta, mu_limit, r) for r in cfg.r_grid}
 
     def per_trial(trial):
-        table = level_table(_trial_partition(cfg, cfg.box_length, trial), cfg.beta)
+        table = build_level_table(_trial_partition(cfg, cfg.box_length, trial), cfg.beta)
         mu = cfg.mu
         if mu is None:  # Newton starts from the limit mu of the same rho
-            mu = solve_mu_finite(table, cfg.beta, cfg.rho, start=mu_limit)
-        return lambda r: kernel_finite(table, cfg.beta, mu, r)
+            mu = solve_mu_finite(table, cfg.rho, start=mu_limit)
+        return lambda r: kernel_finite(table, mu, r)
 
     return _mc_rows(cfg, "separation", cfg.r_grid, per_trial, analytic.get,
                     box_length=cfg.box_length), {}
@@ -329,8 +329,8 @@ def _share_summary(shares) -> dict:
 
 def _run_localize(cfg: ExperimentConfig):
     def per_trial(trial):
-        return lambda box: ground_state_share(_trial_partition(cfg, box, trial), cfg.beta,
-                                              cfg.rho, cfg.epsilon)
+        return lambda box: ground_state_share(
+            build_level_table(_trial_partition(cfg, box, trial), cfg.beta), cfg.rho, cfg.epsilon)
 
     return _mc_rows(cfg, "box_length", cfg.l_ladder or [cfg.box_length], per_trial,
                     lambda _: None, _share_summary), {"epsilon": cfg.epsilon}

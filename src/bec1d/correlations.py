@@ -49,7 +49,6 @@ from scipy.integrate import IntegrationWarning, quad
 
 from .errors import ConvergenceError, _require_below, _require_positive
 from .numerics import EXP_CUTOFF, _bose_factor, _bose_occupations, _first_pass, _gauss_kronrod
-from .poisson_geometry import IntervalPartition
 from .spectrum import C, LevelTable, ModelParams, _leading_levels
 from .thermodynamics import (
     _MOMENT_BLOCK,
@@ -58,7 +57,6 @@ from .thermodynamics import (
     critical_density,
     density_finite,
     density_limit,
-    level_table,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -70,9 +68,8 @@ _SERIES_CHUNK, _SERIES_CHUNK_CAP = 128, 8192
 _SERIES_PIECES = 1 << 15
 
 
-def kernel_finite(source: IntervalPartition | LevelTable, beta: float, mu: float,
-                  r: float) -> float:
-    """Space-averaged kernel of one partition, or of its level table, at separation r.
+def kernel_finite(table: LevelTable, mu: float, r: float) -> float:
+    """Space-averaged kernel of one realization's level table at separation r, at its beta.
 
     Exactly equals the translation average of the eigenfunction double sum;
     only intervals longer than r contribute. They lead the table's lengths, so
@@ -84,8 +81,7 @@ def kernel_finite(source: IntervalPartition | LevelTable, beta: float, mu: float
     r = abs(float(r))
     _require_below("|r|", r, math.inf)
     if r == 0.0:
-        return density_finite(source, beta, mu)
-    table = level_table(source, beta)
+        return density_finite(table, mu)
     _require_below("mu", mu, table.ground_energy)
     # the lengths fall, so read backwards they rise, without a copy
     longer = table.lengths.size - int(np.searchsorted(table.lengths[::-1], r, side="right"))
@@ -98,7 +94,7 @@ def kernel_finite(source: IntervalPartition | LevelTable, beta: float, mu: float
             work = np.empty((3, energies.size))
         occ, sine, weights = work[:, :energies.size]
         np.subtract(energies, mu, out=occ)
-        _bose_occupations(np.multiply(beta, occ, out=occ), out=occ)
+        _bose_occupations(np.multiply(table.beta, occ, out=occ), out=occ)
         k = np.sqrt(np.multiply(2.0, energies, out=energies), out=energies)  # pi s / L
         np.multiply(k, r, out=sine)
         np.cos(sine, out=weights)  # to become cos(kr) (1 - r/L) + sin(kr) / (kL)

@@ -18,10 +18,9 @@ import numpy as np
 
 from .errors import _require_below, _require_positive
 from .numerics import _integrate_panels, _log1mexps
-from .poisson_geometry import (MAX_MEAN_IMPURITIES, IntervalPartition, poisson_lengths,
-                               sample_poisson_partition)
+from .poisson_geometry import MAX_MEAN_IMPURITIES, poisson_lengths, sample_poisson_partition
 from .rng import trial_rng
-from .spectrum import C, C_SQUARED
+from .spectrum import C, C_SQUARED, LevelTable, build_level_table
 from .thermodynamics import _window_occupations
 
 
@@ -145,13 +144,12 @@ class GroundStateShare:
     window_levels: int
 
 
-def ground_state_share(
-    partition: IntervalPartition, beta: float, rho: float, epsilon: float
-) -> GroundStateShare:
-    """Occupation of the lowest level over the total occupation below epsilon."""
-    occ = _window_occupations(partition, beta, rho, epsilon)
-    top_two = np.partition(partition.lengths, partition.lengths.size - 2)[-2:]  # one length at size 1
-    tie = top_two.size == 2 and abs(top_two[1] - top_two[0]) < 1e-12 * top_two[1]
+def ground_state_share(table: LevelTable, rho: float, epsilon: float) -> GroundStateShare:
+    """Occupation of the lowest level over the total occupation below epsilon, at the
+    table's beta; the tie reads the table's two longest intervals."""
+    occ = _window_occupations(table, rho, epsilon)
+    top_two = table.lengths[:2]  # longest first; one length when only one has a level
+    tie = top_two.size == 2 and top_two[0] - top_two[1] < 1e-12 * top_two[0]
     if occ.size == 0:
         return GroundStateShare(math.nan, tie, 0)
     return GroundStateShare(float(occ[0] / occ.sum()), tie, occ.size)
@@ -168,4 +166,4 @@ def ground_state_occupation_fraction(
     """Per-seed ground-state shares over Poisson partitions at fixed density."""
     partitions = (sample_poisson_partition(intensity, total_length, trial_rng(seed, 0))
                   for seed in seeds)
-    return [ground_state_share(part, beta, rho, epsilon) for part in partitions]
+    return [ground_state_share(build_level_table(part, beta), rho, epsilon) for part in partitions]

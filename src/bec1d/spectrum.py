@@ -60,7 +60,8 @@ class LevelTable:
     levels, a prefix of `lengths`, so each block ascends and the ground level E0
     comes first. build_level_table is the only constructor, so that order and
     that cutoff hold for every table. The wave number pi s / L is sqrt(2 E). One
-    table is the state of a realization that every finite observable reads.
+    table is the state of a realization that every finite observable reads, at
+    the `beta` the table was built at.
     """
 
     energies: np.ndarray

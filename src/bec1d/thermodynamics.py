@@ -1,7 +1,8 @@
 """Grand-canonical thermodynamics of the disordered interval gas.
 
-Finite-volume quantities are exact sums over the Dirichlet levels of one
-partition below E0 + 40/beta, which leave out a share of the density that
+Finite-volume quantities are exact sums over one realization's level table
+(spectrum.build_level_table), its Dirichlet levels below E0 + 40/beta at the
+table's own beta, which leave out a share of the density that
 spectrum._level_cutoff bounds (below 7e-16 on the benchmark tables);
 thermodynamic-limit quantities are integrals against the
 self-averaged density of states from :mod:`bec1d.spectrum`. The critical
@@ -93,8 +94,7 @@ from .numerics import (
     _log1mexps,
     _log_newton,
 )
-from .poisson_geometry import IntervalPartition
-from .spectrum import C, LevelTable, ModelParams, build_level_table
+from .spectrum import C, LevelTable, ModelParams
 
 _TOLERANCE = dict(epsabs=1e-13, epsrel=1e-12)
 #: the limit q-integrals end where beta q^2 lies this far past the envelope's peak
@@ -118,40 +118,25 @@ class CondensateReport:
     mu_limit: float
 
 
-def level_table(source: IntervalPartition | LevelTable, beta: float) -> LevelTable:
-    """The level table of a realization at beta: every level below E0 + 40/beta.
-
-    A partition is enumerated (build_level_table); a table built at a beta no larger
-    than this one reaches that cutoff, so it is returned unchanged (ValueError if not).
-    """
-    _require_positive("beta", beta)
-    if not isinstance(source, LevelTable):
-        return build_level_table(source, beta)
-    if source.beta > beta:
-        raise ValueError(f"the table was built at a larger beta, {source.beta:g} > {beta:g}")
-    return source
-
-
-def pressure_finite(source: IntervalPartition | LevelTable, beta: float, mu: float) -> float:
-    """Grand-canonical pressure of one partition, or of its level table.
+def pressure_finite(table: LevelTable, mu: float) -> float:
+    """Grand-canonical pressure of one realization's level table, at the table's beta.
 
     -1/(beta L) * sum over levels of ln(1 - exp(-beta (E - mu))) over the
     table, whose cutoff leaves out a share of the sum that
     spectrum._level_cutoff bounds.
     """
-    table = level_table(source, beta)
     _require_below("mu", mu, table.ground_energy)
     x = np.subtract(table.energies, mu)  # beta (E - mu), then ln(1 - e^-x) in place
-    logs = _log1mexps(np.multiply(beta, x, out=x), out=x)
-    return -float(logs.sum()) / (beta * table.total_length)
+    logs = _log1mexps(np.multiply(table.beta, x, out=x), out=x)
+    return -float(logs.sum()) / (table.beta * table.total_length)
 
 
-def density_finite(source: IntervalPartition | LevelTable, beta: float, mu: float) -> float:
-    """Grand-canonical particle density of one partition, or of its level table."""
-    table = level_table(source, beta)
+def density_finite(table: LevelTable, mu: float) -> float:
+    """Grand-canonical particle density of one realization's level table, at its beta."""
     _require_below("mu", mu, table.ground_energy)
     x = np.subtract(table.energies, mu)
-    return float(_bose_occupations(np.multiply(beta, x, out=x), out=x).sum()) / table.total_length
+    occupations = _bose_occupations(np.multiply(table.beta, x, out=x), out=x)
+    return float(occupations.sum()) / table.total_length
 
 
 def _ids_weight_q(q: float, intensity: float) -> float:
@@ -258,7 +243,7 @@ def _bose_moments(u: np.ndarray, ground: float, beta: float) -> np.ndarray:
     return moments
 
 
-def _table_density(table: LevelTable, beta: float):
+def _table_density(table: LevelTable):
     """density(mu) -> (density, d density / d mu) of the table, for every mu below ground.
 
     Levels at or above E0 + _SPLIT_EXPONENT / beta, with E0 the ground level,
@@ -268,8 +253,7 @@ def _table_density(table: LevelTable, beta: float):
     their occupations 1 / (A (V + 1) + V), V = e^{beta (E0 - mu)} - 1
     (_gap_occupations).
     """
-    volume = table.total_length
-    ground = table.ground_energy
+    volume, ground, beta = table.total_length, table.ground_energy, table.beta
     split = table.energies >= ground + _SPLIT_EXPONENT / beta
     moments = _bose_moments(table.energies[split], ground, beta)
     gaps = table.energies[np.logical_not(split, out=split)]  # E, then A in place
@@ -289,10 +273,8 @@ def _table_density(table: LevelTable, beta: float):
     return density
 
 
-def solve_mu_finite(
-    source: IntervalPartition | LevelTable, beta: float, rho: float, start: float | None = None
-) -> float:
-    """Unique mu below the spectral bottom with density_finite == rho (partition or table).
+def solve_mu_finite(table: LevelTable, rho: float, start: float | None = None) -> float:
+    """Unique mu below the table's ground level with density_finite == rho, at its beta.
 
     Newton in ln(ground - mu), slope beta * sum n(n+1) from the same occupations
     n; it stops on a sign-verified bracket of width 1e-12 * max(1, |mu|). The
@@ -306,13 +288,12 @@ def solve_mu_finite(
     once per step.
     """
     _require_positive("rho", rho)
-    table = level_table(source, beta)
     ground = table.ground_energy
-    gap = 1.0 / beta
+    gap = 1.0 / table.beta
     if start is not None and -math.inf < start < ground:
         # no closer to ground than the floor of _log_newton's bracket, 4 eps ground
         gap = max(ground - start, 4.0 * np.finfo(float).eps * ground)
-    return _log_newton(_table_density(table, beta), rho, gap, _MU_TOLERANCE, anchor=ground)
+    return _log_newton(_table_density(table), rho, gap, _MU_TOLERANCE, anchor=ground)
 
 
 class _LimitState:
@@ -404,29 +385,24 @@ def condensate_density(params: ModelParams, beta: float, rho: float) -> Condensa
     return CondensateReport(rho_c=rho_c, rho_0=max(0.0, rho - rho_c), mu_limit=mu)
 
 
-def condensate_finite(
-    partition: IntervalPartition, beta: float, rho: float, epsilon: float
-) -> float:
+def condensate_finite(table: LevelTable, rho: float, epsilon: float) -> float:
     """Occupation density of the level table's levels below the energy window `epsilon`.
 
-    Solves for the finite-volume chemical potential at target density rho
-    first. A window below the partition's ground energy is empty and yields
-    exactly zero; one above the table's cutoff E0 + 40/beta sums the whole
+    Solves for the finite-volume chemical potential at target density rho and
+    the table's beta first. A window below the table's ground level is empty
+    and yields exactly zero; one above its cutoff E0 + 40/beta sums the whole
     table, as the levels past it hold a share of the density that
     spectrum._level_cutoff bounds (below 7e-16 on the benchmark tables).
     """
-    return float(_window_occupations(partition, beta, rho, epsilon).sum()) / partition.total_length
+    return float(_window_occupations(table, rho, epsilon).sum()) / table.total_length
 
 
-def _window_occupations(
-    partition: IntervalPartition, beta: float, rho: float, epsilon: float
-) -> np.ndarray:
+def _window_occupations(table: LevelTable, rho: float, epsilon: float) -> np.ndarray:
     """Occupations at the finite mu of density rho of the table's levels below epsilon, in order."""
     _require_positive("epsilon", epsilon)
-    table = level_table(partition, beta)
-    mu = solve_mu_finite(table, beta, rho)
+    mu = solve_mu_finite(table, rho)
     window = table.energies[table.energies < epsilon]
-    return _bose_occupations(beta * (window - mu))
+    return _bose_occupations(table.beta * (window - mu))
 
 
 def critical_density_bound(params: ModelParams, beta: float, amplitude: float) -> float:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from bec1d import critical_density, density_limit, hierarchical_critical_density, level_table
+from bec1d import (build_level_table, critical_density, density_limit,
+                   hierarchical_critical_density)
 from bec1d.errors import ConvergenceError
 from bec1d.hierarchical import hierarchical_density
 from bec1d.numerics import _bose_occupations
@@ -22,7 +23,7 @@ TYPE2_TOLERANCE = 1e-14
 
 
 def finite_mu(partition, beta: float, rho: float) -> float:
-    table = level_table(partition, beta)
+    table = build_level_table(partition, beta)
     ground = table.ground_energy
     volume = table.total_length
 

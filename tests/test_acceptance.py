@@ -22,6 +22,7 @@ from bec1d import (
     IntervalPartition,
     ModelParams,
     build_layout,
+    build_level_table,
     classify_condensate,
     condensate_finite,
     counting_function,
@@ -170,9 +171,10 @@ class TestCriterion04:
         part = seeded_partition(60, 0, 800.0)
         from bec1d import density_finite
 
+        table = build_level_table(part, 1.0)
         for target in (0.1, 0.4):
-            mu_fin = solve_mu_finite(part, 1.0, target)
-            worst = max(worst, abs(density_finite(part, 1.0, mu_fin) - target) / target)
+            mu_fin = solve_mu_finite(table, target)
+            worst = max(worst, abs(density_finite(table, mu_fin) - target) / target)
         ok = worst < 1e-10
         assert report("04b", "solver round trips", ok, f"worst rel residual {worst:.2e}")
 
@@ -186,7 +188,7 @@ class TestCriterion05:
         medians = []
         for box in self.LADDER:
             mus = [
-                solve_mu_finite(ladder_partition(777, box, t), 1.0, self.RHO)
+                solve_mu_finite(build_level_table(ladder_partition(777, box, t), 1.0), self.RHO)
                 for t in range(50)
             ]
             medians.append(float(np.median(mus)))
@@ -208,7 +210,8 @@ class TestCriterion05:
         # (the window becomes reachable only once ln(lam L) > C/sqrt(eps),
         # i.e. L beyond ~4e9).
         vals = [
-            condensate_finite(ladder_partition(888, 2000.0, t), 1.0, self.RHO, epsilon=0.01)
+            condensate_finite(build_level_table(ladder_partition(888, 2000.0, t), 1.0), self.RHO,
+                              epsilon=0.01)
             for t in range(100)
         ]
         mean = float(np.mean(vals))
@@ -235,7 +238,8 @@ class TestCriterion05:
         means = []
         for box in self.LADDER:
             vals = [
-                condensate_finite(ladder_partition(777, box, t), 1.0, self.RHO, epsilon=0.25)
+                condensate_finite(build_level_table(ladder_partition(777, box, t), 1.0), self.RHO,
+                                  epsilon=0.25)
                 - thermal
                 for t in range(100)
             ]
@@ -255,7 +259,7 @@ class TestCriterion06:
         for trial in range(200):
             part = seeded_partition(123, trial, 2000.0)
             for r in separations:
-                sums[r] += kernel_finite(part, 1.0, -0.5, r)
+                sums[r] += kernel_finite(build_level_table(part, 1.0), -0.5, r)
         worst = 0.0
         for r in separations:
             analytic = (
@@ -487,7 +491,7 @@ class TestCriterion12:
             shares = []
             for t in range(100):
                 part = ladder_partition(777, box, t)
-                mu = solve_mu_finite(part, 1.0, self.RHO)
+                mu = solve_mu_finite(build_level_table(part, 1.0), self.RHO)
                 ground = (C / part.lengths.max()) ** 2
                 shares.append(1.0 / math.expm1(ground - mu) / (rho_0 * box))
             medians.append(float(np.median(shares)))

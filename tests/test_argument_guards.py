@@ -28,6 +28,7 @@ from bec1d.errors import DomainError
 P = ModelParams(1.0)
 LAYOUT = build_layout("type1", 1e4, 1.0)
 PART = sample_poisson_partition(1.0, 50.0, 3)
+TABLE = spec.build_level_table(PART, 1.0)
 
 # "function argument": a call with that argument set, the others valid
 CASES = {
@@ -78,13 +79,12 @@ CASES = {
     "ids_finite_amplitude_bound energy": lambda v: spec.ids_finite_amplitude_bound(P, 10.0, v),
     "build_layout total_length": lambda v: build_layout("type1", v, 1.0),
     "build_layout intensity": lambda v: build_layout("type1", 1e4, v),
-    "level_table beta": lambda v: thermo.level_table(PART, v),
-    "solve_mu_finite rho": lambda v: thermo.solve_mu_finite(PART, 1.0, v),
+    "solve_mu_finite rho": lambda v: thermo.solve_mu_finite(TABLE, v),
     "solve_mu_limit beta": lambda v: thermo.solve_mu_limit(P, v, 0.1),
     "solve_mu_limit rho": lambda v: thermo.solve_mu_limit(P, 1.0, v),
     "condensate_density beta": lambda v: thermo.condensate_density(P, v, 0.1),
     "condensate_density rho": lambda v: thermo.condensate_density(P, 1.0, v),
-    "condensate_finite epsilon": lambda v: thermo.condensate_finite(PART, 1.0, 0.5, v),
+    "condensate_finite epsilon": lambda v: thermo.condensate_finite(TABLE, 0.5, v),
     "odlro beta": lambda v: corr.odlro(P, v, 0.1),
     "odlro rho": lambda v: corr.odlro(P, 1.0, v),
     "kernel_with_condensate beta": lambda v: corr.kernel_with_condensate(P, v, 0.1, 1.0),
@@ -103,9 +103,9 @@ MU_CASES = {
     "kernel_limit": lambda v: corr.kernel_limit(P, 1.0, v, 1.0),
     "free_kernel": lambda v: corr.free_kernel(1.0, v, 1.0),
     "hierarchical_density": lambda v: hier.hierarchical_density(LAYOUT, 1.0, v),
-    "density_finite": lambda v: thermo.density_finite(PART, 1.0, v),
-    "pressure_finite": lambda v: thermo.pressure_finite(PART, 1.0, v),
-    "kernel_finite": lambda v: corr.kernel_finite(PART, 1.0, v, 1.0),
+    "density_finite": lambda v: thermo.density_finite(TABLE, v),
+    "pressure_finite": lambda v: thermo.pressure_finite(TABLE, v),
+    "kernel_finite": lambda v: corr.kernel_finite(TABLE, v, 1.0),
     "decay_rate_fit": lambda v: corr.decay_rate_fit(P, 1.0, v, (5.0, 10.0)),
 }
 
@@ -114,7 +114,7 @@ FINITE_CASES = {
     "kernel_limit r": lambda v: corr.kernel_limit(P, 1.0, -1.0, v),
     "kernel_limit r series": lambda v: corr.kernel_limit(P, 1.0, -1.0, v, method="series"),
     "kernel_with_condensate r": lambda v: corr.kernel_with_condensate(P, 1.0, 0.1, v),
-    "kernel_finite r": lambda v: corr.kernel_finite(PART, 1.0, -1.0, v),
+    "kernel_finite r": lambda v: corr.kernel_finite(TABLE, -1.0, v),
     "free_kernel r": lambda v: corr.free_kernel(1.0, -1.0, v),
 }
 
@@ -243,6 +243,28 @@ def test_only_spectrum_builds_a_level_table():
     builders = [path.name for path in sorted(package.glob("*.py"))
                 if "LevelTable(" in path.read_text(encoding="utf-8")]
     assert builders == ["spectrum.py"]
+
+
+def test_a_level_table_is_read_at_its_own_beta():
+    # a realization's finite state is one table, read at the beta it was built at: no
+    # public function takes a table and a separate beta, none takes a partition or a
+    # table, and a table comes only from build_level_table
+    package = pathlib.Path(bec1d.__file__).parent
+    both, unions = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            annotations = {a.arg: ast.unparse(a.annotation) for a in args if a.annotation}
+            if (not node.name.startswith("_") and "beta" in {a.arg for a in args}
+                    and any("LevelTable" in text for text in annotations.values())):
+                both.append(node.name)
+            unions += [node.name for text in annotations.values()
+                       if re.search(r"IntervalPartition\s*\|\s*LevelTable", text)]
+    assert both == []
+    assert unions == []
+    assert not hasattr(bec1d, "level_table")
 
 
 def code_references(name: str) -> set[tuple[str, str | None]]:

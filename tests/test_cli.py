@@ -11,6 +11,7 @@ from bec1d import (
     ConvergenceError,
     ModelParams,
     build_layout,
+    build_level_table,
     condensate_density,
     critical_density,
     expected_largest,
@@ -338,13 +339,13 @@ class TestCorrelateReuse:
         params = ModelParams(1.0)
         rho = fraction * critical_density(params, 1.0)
         rows = self._run(tmp_path, "--rho", repr(rho))
-        parts = [cli._trial_partition(cli.ExperimentConfig("correlate", base_seed=4), 300.0, t)
-                 for t in range(3)]
+        config = cli.ExperimentConfig("correlate", base_seed=4)
+        tables = [build_level_table(cli._trial_partition(config, 300.0, t), 1.0) for t in range(3)]
         # each trial's Newton starts from the limit mu, as the runner starts it
         start = condensate_density(params, 1.0, rho).mu_limit
-        mus = [solve_mu_finite(part, 1.0, rho, start=start) for part in parts]
+        mus = [solve_mu_finite(table, rho, start=start) for table in tables]
         for row, r in zip(rows, self.R_GRID):
-            trials = [kernel_finite(part, 1.0, mu, r) for part, mu in zip(parts, mus)]
+            trials = [kernel_finite(table, mu, r) for table, mu in zip(tables, mus)]
             assert float(row["mc_mean"]) == float(np.asarray(trials).mean())
             assert float(row["analytic"]) == kernel_with_condensate(params, 1.0, rho, r)
 
@@ -352,7 +353,7 @@ class TestCorrelateReuse:
         calls = {"solve_mu_limit": 0, "build_level_table": 0}
 
         def counted(name):
-            real = getattr(thermodynamics, name)
+            real = getattr(cli, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1

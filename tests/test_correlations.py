@@ -10,6 +10,7 @@ from bec1d import (
     ConvergenceError,
     DomainError,
     ModelParams,
+    build_level_table,
     condensate_density,
     critical_density,
     decay_rate_fit,
@@ -19,7 +20,6 @@ from bec1d import (
     kernel_finite,
     kernel_limit,
     kernel_with_condensate,
-    level_table,
     odlro,
     sample_poisson_partition,
     solve_mu_limit,
@@ -44,18 +44,19 @@ class TestKernelFinite:
     @pytest.mark.parametrize("box, beta", [(400.0, 1.0), (2000.0, 0.5), (6e4, 0.25)])
     def test_coincident_points_reproduce_density(self, box, beta):
         # every weight is exactly 1 at r = 0, so the value is density_finite's bit for bit
-        table = level_table(sample_poisson_partition(1.0, box, 21), beta)
+        table = build_level_table(sample_poisson_partition(1.0, box, 21), beta)
         for gap in (1e-3, 0.1, 2.0):
             mu = table.ground_energy - gap / beta
-            assert kernel_finite(table, beta, mu, 0.0) == density_finite(table, beta, mu)
+            assert kernel_finite(table, mu, 0.0) == density_finite(table, mu)
 
     def test_separation_beyond_every_interval(self):
         part = partition([2.0, 3.0, 1.0])
-        assert kernel_finite(part, 1.0, -0.5, 3.5) == 0.0
+        assert kernel_finite(build_level_table(part, 1.0), -0.5, 3.5) == 0.0
 
     def test_symmetry_in_the_separation(self):
         part = partition([2.0, 3.0, 1.0])
-        assert kernel_finite(part, 1.0, -0.5, 1.2) == kernel_finite(part, 1.0, -0.5, -1.2)
+        table = build_level_table(part, 1.0)
+        assert kernel_finite(table, -0.5, 1.2) == kernel_finite(table, -0.5, -1.2)
 
     @pytest.mark.parametrize("r", [0.4, 1.1, 2.7])
     def test_bruteforce_equivalence_on_three_intervals(self, r):
@@ -63,12 +64,12 @@ class TestKernelFinite:
         part = partition([2.0, 3.5, 1.2])
         beta, mu = 1.0, -0.4
         brute = kernel_finite_bruteforce(part, beta, mu, r)
-        assert kernel_finite(part, beta, mu, r) == pytest.approx(brute, abs=1e-8)
+        assert kernel_finite(build_level_table(part, beta), mu, r) == pytest.approx(brute, abs=1e-8)
 
     def test_domain_error_above_bottom(self):
         part = partition([2.0])
         with pytest.raises(DomainError):
-            kernel_finite(part, 1.0, 5.0, 0.5)
+            kernel_finite(build_level_table(part, 1.0), 5.0, 0.5)
 
 
 class TestKernelLimit:
@@ -93,7 +94,7 @@ class TestKernelLimit:
         for r, tol in [(1.0, 0.02), (2.0, 0.03)]:
             vals = [
                 kernel_finite(
-                    sample_poisson_partition(lam, box, (31, t)), beta, mu, r
+                    build_level_table(sample_poisson_partition(lam, box, (31, t)), beta), mu, r
                 )
                 for t in range(60)
             ]

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from bec1d import (
     C,
+    build_level_table,
     density_finite,
     kernel_finite,
-    level_table,
     pressure_finite,
     sample_poisson_partition,
     solve_mu_finite,
@@ -74,14 +74,14 @@ def gap_below_ground(beta: float, ground: float, fraction: float, smallest: floa
 @settings(max_examples=40)
 @at_corners(fraction=1.0)
 def test_split_sums_equal_direct_table_sums(intensity, beta, seed, fraction):
-    table = level_table(box(intensity, beta, seed), beta)
+    table = build_level_table(box(intensity, beta, seed), beta)
     assert table.energies.size <= MAX_LEVELS
     ground = table.ground_energy
     mu = ground - gap_below_ground(beta, ground, fraction, 1e-9 * ground)
     occ = _bose_occupations(beta * (table.energies - mu))
     direct = float(occ.sum()) / table.total_length
     direct_slope = beta * float(occ @ (occ + 1.0)) / table.total_length
-    density, slope = _table_density(table, beta)(mu)
+    density, slope = _table_density(table)(mu)
     assert density == pytest.approx(direct, rel=1e-13, abs=0.0)
     assert slope == pytest.approx(direct_slope, rel=1e-13, abs=0.0)
 
@@ -92,25 +92,25 @@ def test_split_sums_equal_direct_table_sums(intensity, beta, seed, fraction):
 def test_solve_mu_finite_round_trips_under_the_sign_certificate(
     intensity, beta, seed, fraction
 ):
-    part = box(intensity, beta, seed)
-    ground = level_table(part, beta).ground_energy
+    table = build_level_table(box(intensity, beta, seed), beta)
+    ground = table.ground_energy
     # at least 100 stopping widths below ground, so mu + tol stays below it
     target = ground - gap_below_ground(beta, ground, fraction, 1e-10 * max(1.0, ground))
-    rho = density_finite(part, beta, target)
-    mu = solve_mu_finite(part, beta, rho)
+    rho = density_finite(table, target)
+    mu = solve_mu_finite(table, rho)
     tol = _MU_TOLERANCE * max(1.0, abs(mu))
     assert abs(mu - target) <= tol
-    assert density_finite(part, beta, mu - tol) < rho <= density_finite(part, beta, mu + tol)
+    assert density_finite(table, mu - tol) < rho <= density_finite(table, mu + tol)
 
 
 @given(intensity=intensities, beta=betas, seed=seeds, fractions=st.tuples(fractions, fractions))
 @settings(max_examples=30)
 @at_corners(fractions=(0.0, 1.0))
 def test_density_finite_is_monotone_in_mu(intensity, beta, seed, fractions):
-    part = box(intensity, beta, seed)
-    ground = level_table(part, beta).ground_energy
+    table = build_level_table(box(intensity, beta, seed), beta)
+    ground = table.ground_energy
     mus = sorted(ground - gap_below_ground(beta, ground, f, 1e-9 * ground) for f in fractions)
-    assert density_finite(part, beta, mus[0]) <= density_finite(part, beta, mus[1])
+    assert density_finite(table, mus[0]) <= density_finite(table, mus[1])
 
 
 @given(intensity=intensities, beta=betas, seed=seeds, fraction=fractions)
@@ -120,14 +120,14 @@ def test_density_finite_is_the_mu_derivative_of_pressure_finite(intensity, beta,
     # rho = dp/dmu per realization, by central differences on one table. The step is
     # 1e-4 of the shorter scale, ground - mu or 1/beta, so truncation costs ~3e-9 of
     # rho; the denominator is the float step actually taken. Tolerance as TestCriterion04.
-    table = level_table(box(intensity, beta, seed), beta)
+    table = build_level_table(box(intensity, beta, seed), beta)
     ground = table.ground_energy
     gap = gap_below_ground(beta, ground, fraction, 1e-9 * ground)
     mu = ground - gap
     h = 1e-4 * min(gap, 1.0 / beta)
     lo, hi = mu - h, mu + h
-    slope = (pressure_finite(table, beta, hi) - pressure_finite(table, beta, lo)) / (hi - lo)
-    assert slope == pytest.approx(density_finite(table, beta, mu), rel=1e-6, abs=0.0)
+    slope = (pressure_finite(table, hi) - pressure_finite(table, lo)) / (hi - lo)
+    assert slope == pytest.approx(density_finite(table, mu), rel=1e-6, abs=0.0)
 
 
 @given(
@@ -143,9 +143,10 @@ def test_kernel_finite_is_bounded_by_its_value_at_coincidence(
     intensity, beta, seed, fraction, reach
 ):
     part = box(intensity, beta, seed)
-    ground = level_table(part, beta).ground_energy
+    table = build_level_table(part, beta)
+    ground = table.ground_energy
     mu = ground - gap_below_ground(beta, ground, fraction, 1e-9 * ground)
-    at_zero = kernel_finite(part, beta, mu, 0.0)
-    assert at_zero == density_finite(part, beta, mu)
+    at_zero = kernel_finite(table, mu, 0.0)
+    assert at_zero == density_finite(table, mu)
     r = reach * float(np.max(part.lengths))
-    assert abs(kernel_finite(part, beta, mu, r)) <= at_zero * (1.0 + 1e-12)
+    assert abs(kernel_finite(table, mu, r)) <= at_zero * (1.0 + 1e-12)

@@ -118,7 +118,7 @@ class TestDensity:
         part = partition(lengths)
         for mu in (-0.5, 0.01):
             assert hierarchical_density(layout, BETA, mu) == pytest.approx(
-                density_finite(part, BETA, mu), rel=1e-12
+                density_finite(build_level_table(part, BETA), mu), rel=1e-12
             )
 
     def test_large_box_limit_at_fixed_mu(self):

@@ -7,12 +7,12 @@ import pytest
 
 from bec1d import (
     DomainError,
+    build_level_table,
     condensate_finite,
     critical_density,
     ground_state_occupation_fraction,
     ground_state_share,
     largest_interval_scaling,
-    level_table,
     ModelParams,
     order_localization,
     sample_poisson_partition,
@@ -131,19 +131,22 @@ class TestGroundStateShare:
         # one 30-length interval among 3e5 unit intervals holds nearly the
         # whole condensate in its ground state
         lengths = np.concatenate(([30.0], np.ones(300_000)))
-        share = ground_state_share(partition(lengths), 1.0, 2.0 * RHO_C, epsilon=0.01)
+        table = build_level_table(partition(lengths), 1.0)
+        share = ground_state_share(table, 2.0 * RHO_C, epsilon=0.01)
         assert share.window_levels >= 1
         assert not share.tie
         assert share.fraction > 0.99
 
     def test_degenerate_pair_is_flagged_and_splits(self):
         lengths = np.concatenate(([30.0, 30.0], np.ones(300_000)))
-        share = ground_state_share(partition(lengths), 1.0, 2.0 * RHO_C, epsilon=0.01)
+        table = build_level_table(partition(lengths), 1.0)
+        share = ground_state_share(table, 2.0 * RHO_C, epsilon=0.01)
         assert share.tie
         assert share.fraction == pytest.approx(0.5, abs=0.02)
 
     def test_empty_window_reports_nan(self):
-        share = ground_state_share(partition(np.ones(50)), 1.0, 2.0 * RHO_C, epsilon=0.01)
+        table = build_level_table(partition(np.ones(50)), 1.0)
+        share = ground_state_share(table, 2.0 * RHO_C, epsilon=0.01)
         assert share.window_levels == 0
         assert math.isnan(share.fraction)
 
@@ -161,20 +164,21 @@ class TestGroundStateShare:
         beta, rho, epsilon = 1.0, 2.0 * RHO_C, 0.5
         for seed in range(20):
             part = sample_poisson_partition(1.0, 500.0, seed)
-            table = level_table(part, beta)
-            mu = solve_mu_finite(table, beta, rho)
+            table = build_level_table(part, beta)
+            mu = solve_mu_finite(table, rho)
             window = table.energies[table.energies < epsilon]
             occ = _bose_occupations(beta * (window - mu))
-            share = ground_state_share(part, beta, rho, epsilon)
+            share = ground_state_share(table, rho, epsilon)
             assert share.window_levels == window.size > 0
             assert share.fraction == float(occ[np.argmin(window)] / occ.sum())
 
     def test_epsilon_validation(self):
         # NaN fails every comparison: an `epsilon <= 0` guard reads it as an empty window
+        table = build_level_table(partition(np.ones(5)), 1.0)
         for epsilon in (0.0, math.nan):
             for window in (ground_state_share, condensate_finite):
                 with pytest.raises(ValueError, match="epsilon"):
-                    window(partition(np.ones(5)), 1.0, 0.1, epsilon=epsilon)
+                    window(table, 0.1, epsilon=epsilon)
 
 
 class TestOrderedGapLaw:

@@ -11,12 +11,12 @@ from bec1d import (
     ConvergenceError,
     ModelParams,
     build_layout,
+    build_level_table,
     critical_density,
     density_finite,
     density_limit,
     hierarchical_critical_density,
     hierarchical_density,
-    level_table,
     sample_poisson_partition,
     solve_mu_finite,
     solve_mu_hierarchical,
@@ -63,13 +63,14 @@ class TestFiniteSolver:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_matches_bisection_with_sign_certificate(self, beta, fraction, seed, table_passes):
         part = sample_poisson_partition(1.0, 1000.0, seed)
+        table = build_level_table(part, beta)
         rho = fraction * critical_density(PARAMS, beta)
         table_passes["n"] = 0
-        mu = solve_mu_finite(part, beta, rho)
+        mu = solve_mu_finite(table, rho)
         passes = table_passes["n"]
         tol = mu_tol(mu)
         assert abs(mu - ref.finite_mu(part, beta, rho)) <= tol
-        assert density_finite(part, beta, mu - tol) < rho <= density_finite(part, beta, mu + tol)
+        assert density_finite(table, mu - tol) < rho <= density_finite(table, mu + tol)
         assert passes <= MAX_PASSES
 
     def test_single_level_closed_form(self):
@@ -77,7 +78,7 @@ class TestFiniteSolver:
         # its ground level: rho * pi = 1 / expm1(beta (E_1 - mu))
         part = partition([math.pi])
         beta, rho = 50.0, 2.0
-        mu = solve_mu_finite(part, beta, rho)
+        mu = solve_mu_finite(build_level_table(part, beta), rho)
         expected = 0.5 - math.log1p(1.0 / (rho * math.pi)) / beta
         assert mu == pytest.approx(expected, abs=1e-12)
 
@@ -85,7 +86,7 @@ class TestFiniteSolver:
         part = partition([1.0])
         ground = C * C
         with pytest.raises(ConvergenceError) as info:
-            solve_mu_finite(part, 1.0, 1e16)
+            solve_mu_finite(build_level_table(part, 1.0), 1e16)
         lo, hi = info.value.bracket
         assert lo < hi <= ground
 
@@ -96,8 +97,8 @@ def recorded_steps(monkeypatch):
     steps = []
     real = thermodynamics._table_density
 
-    def recording(table, beta):
-        density = real(table, beta)
+    def recording(table):
+        density = real(table)
 
         def step(mu):
             n, slope = density(mu)
@@ -127,15 +128,15 @@ class TestWarmStart:
         cold_passes, warm_passes = [], []
         for (lam, beta), rho_c in RHO_C.items():
             for seed in (1, 2):
-                table = level_table(sample_poisson_partition(lam, box, seed), beta)
+                table = build_level_table(sample_poisson_partition(lam, box, seed), beta)
                 for fraction in (0.3, 0.6, 0.9):
                     rho = fraction * rho_c
                     recorded_steps.clear()
-                    solve_mu_finite(table, beta, rho)
+                    solve_mu_finite(table, rho)
                     lo, hi = stopping_bracket(recorded_steps, rho, table.ground_energy)
                     cold_passes.append(len(recorded_steps))
                     recorded_steps.clear()
-                    warm = solve_mu_finite(table, beta, rho,
+                    warm = solve_mu_finite(table, rho,
                                            start=solve_mu_limit(ModelParams(lam), beta, rho))
                     warm_passes.append(len(recorded_steps))
                     assert lo <= warm <= hi
@@ -146,15 +147,15 @@ class TestWarmStart:
                                        "far_below", "-1e300"])
     def test_a_start_at_or_above_ground_or_far_off_converges(self, start, recorded_steps):
         beta, rho = 1.0, 0.5 * RHO_C[(1.0, 1.0)]
-        table = level_table(sample_poisson_partition(1.0, 2000.0, 1), beta)
+        table = build_level_table(sample_poisson_partition(1.0, 2000.0, 1), beta)
         ground = table.ground_energy
-        cold = solve_mu_finite(table, beta, rho)
+        cold = solve_mu_finite(table, rho)
         lo, hi = stopping_bracket(recorded_steps, rho, ground)
         recorded_steps.clear()
         value = {"ground": ground, "above": ground + 1.0, "inf": math.inf, "nan": math.nan,
                  "next_below": math.nextafter(ground, 0.0), "far_below": ground - 1e3,
                  "-1e300": -1e300}[start]
-        warm = solve_mu_finite(table, beta, rho, start=value)
+        warm = solve_mu_finite(table, rho, start=value)
         assert lo <= warm <= hi and abs(warm - cold) <= mu_tol(cold)
         first = recorded_steps[0][0]
         if start in ("ground", "above", "inf", "nan"):

@@ -28,7 +28,6 @@ from bec1d import (
     ids_free,
     ids_limit,
     ids_series,
-    level_table,
     sample_poisson_partition,
 )
 from util import level_lengths, partition
@@ -110,7 +109,7 @@ class TestLevels:
             rough = (C * intensity) ** 2 + spectrum.TABLE_EXPONENT / beta
             part = sample_poisson_partition(intensity, min(2000.0, 2e4 * C / math.sqrt(rough)),
                                             seed)
-            table = level_table(part, beta)
+            table = build_level_table(part, beta)
             # the ground level in the arithmetic of the table: no level lies below it
             ground = float(np.square(C / part.lengths.max()))
             assert table.ground_energy == ground

@@ -21,7 +21,6 @@ from bec1d import (
     density_limit,
     kernel_finite,
     kernel_with_condensate,
-    level_table,
     pressure_finite,
     pressure_limit,
     sample_poisson_partition,
@@ -86,84 +85,33 @@ class TestFiniteVolume:
         oracle = -math.fsum(
             math.log(-math.expm1(-(0.5 * s * s + 1.0))) for s in range(1, 40)
         ) / math.pi
-        assert pressure_finite(part, 1.0, -1.0) == pytest.approx(oracle, rel=1e-13)
+        table = build_level_table(part, 1.0)
+        assert pressure_finite(table, -1.0) == pytest.approx(oracle, rel=1e-13)
 
     def test_density_single_interval_direct_sum(self):
         part = partition([math.pi])
         oracle = math.fsum(
             1.0 / math.expm1(0.5 * s * s + 1.0) for s in range(1, 37)
         ) / math.pi
-        assert density_finite(part, 1.0, -1.0) == pytest.approx(oracle, rel=1e-13)
+        assert density_finite(build_level_table(part, 1.0), -1.0) == pytest.approx(oracle,
+                                                                                   rel=1e-13)
 
     def test_empty_gas_limit(self):
-        part = partition([2.0, 5.0, 1.0])
-        assert pressure_finite(part, 1.0, -1e6) == 0.0
-        assert density_finite(part, 1.0, -1e6) == 0.0
+        table = build_level_table(partition([2.0, 5.0, 1.0]), 1.0)
+        assert pressure_finite(table, -1e6) == 0.0
+        assert density_finite(table, -1e6) == 0.0
 
     def test_monotone_in_mu(self):
-        part = partition([2.0, 5.0, 1.0])
-        assert density_finite(part, 1.0, -0.3) > density_finite(part, 1.0, -0.6)
+        table = build_level_table(partition([2.0, 5.0, 1.0]), 1.0)
+        assert density_finite(table, -0.3) > density_finite(table, -0.6)
 
     def test_domain_error_at_spectral_bottom(self):
-        part = partition([2.0])
+        table = build_level_table(partition([2.0]), 1.0)
         bottom = (C / 2.0) ** 2
         with pytest.raises(DomainError):
-            pressure_finite(part, 1.0, bottom)
+            pressure_finite(table, bottom)
         with pytest.raises(DomainError):
-            density_finite(part, 1.0, bottom + 0.1)
-
-
-class TestLevelTable:
-    PART = sample_poisson_partition(1.0, 300.0, 13)
-
-    def test_a_covering_table_is_returned_unchanged(self):
-        table = level_table(self.PART, 1.0)
-        assert table.lengths[0] == self.PART.lengths.max()
-        assert level_table(table, 1.0) is table
-        assert level_table(table, 2.0) is table
-
-    def test_observables_on_the_table_equal_those_on_the_partition(self):
-        table = level_table(self.PART, 1.0)
-        mu = solve_mu_finite(self.PART, 1.0, 0.4)
-        assert solve_mu_finite(table, 1.0, 0.4) == mu
-        assert density_finite(table, 1.0, mu) == density_finite(self.PART, 1.0, mu)
-        assert pressure_finite(table, 1.0, mu) == pressure_finite(self.PART, 1.0, mu)
-        for r in (0.0, 1.5, 7.0):
-            assert kernel_finite(table, 1.0, mu, r) == kernel_finite(self.PART, 1.0, mu, r)
-
-    def test_a_table_covers_its_own_cutoff(self):
-        # here the scalar (C / L)^2 is one ulp below the table's ground level,
-        # which pushed the recomputed cutoff past the table's own
-        part = partition([7.8562202568770445, 1.0])
-        table = level_table(part, 1.0)
-        assert level_table(table, 1.0) is table
-        assert solve_mu_finite(table, 1.0, 0.1) == solve_mu_finite(part, 1.0, 0.1)
-        assert condensate_finite(part, 1.0, 0.1, 0.5) > 0.0
-
-    def test_rejects_a_table_that_ends_too_low(self):
-        table = level_table(self.PART, 2.0)
-        with pytest.raises(ValueError, match="built at a larger beta"):
-            level_table(table, 1.0)
-        with pytest.raises(ValueError, match="built at a larger beta"):
-            solve_mu_finite(table, 1.0, 0.4)
-
-    def test_a_table_is_reused_at_equal_and_larger_beta(self):
-        # E0 + 40/beta falls as beta grows, so the table at beta holds every level of
-        # the table at a larger beta, and the solve reads it within its own tolerance
-        table = level_table(self.PART, 1.0)
-        assert table.beta == 1.0
-        for beta in (1.0, np.nextafter(1.0, 2.0), 2.0, 1e6):
-            assert level_table(table, beta) is table
-            assert np.isin(level_table(self.PART, beta).energies, table.energies).all()
-            mu = solve_mu_finite(self.PART, beta, 0.4)
-            assert solve_mu_finite(table, beta, 0.4) == pytest.approx(mu, rel=1e-12)
-
-    def test_rejects_non_positive_beta(self):
-        table = level_table(self.PART, 1.0)
-        for beta in (0.0, -1.0, math.nan):
-            for source in (self.PART, table):
-                with pytest.raises(ValueError, match="beta"):
-                    level_table(source, beta)
+            density_finite(table, bottom + 0.1)
 
 
 class TestTableCutoff:
@@ -187,22 +135,22 @@ class TestTableCutoff:
         bound = omitted_share_bound(table, spectrum.TABLE_EXPONENT)
         ground = table.ground_energy
         for mu in (ground - 1e-3 / beta, ground - 0.1 / beta, ground - 1.0 / beta):
-            density = density_finite(table, beta, mu)
+            density = density_finite(table, mu)
             # the levels past the cutoff, summed exactly, hold at most b of the density
             omitted = math.fsum(_bose_occupations(beta * (past - mu))) / part.total_length
             assert omitted <= bound * density
             allowed = (bound + self.ROUNDING) * density
-            assert abs(density_finite(wide, beta, mu) - density) <= allowed
-            pressure = pressure_finite(table, beta, mu)
-            assert abs(pressure_finite(wide, beta, mu) - pressure) <= (
+            assert abs(density_finite(wide, mu) - density) <= allowed
+            pressure = pressure_finite(table, mu)
+            assert abs(pressure_finite(wide, mu) - pressure) <= (
                 (bound + self.ROUNDING) * pressure)
             for r in (1.0, 5.0):
-                kernel = kernel_finite(table, beta, mu, r)
-                assert abs(kernel_finite(wide, beta, mu, r) - kernel) <= allowed
+                kernel = kernel_finite(table, mu, r)
+                assert abs(kernel_finite(wide, mu, r) - kernel) <= allowed
             # d ln density / d mu >= beta, and each solve stops within its tolerance
-            solved = solve_mu_finite(table, beta, density)
+            solved = solve_mu_finite(table, density)
             tolerance = 2.0 * thermodynamics._MU_TOLERANCE * max(1.0, abs(solved))
-            assert abs(solve_mu_finite(wide, beta, density) - solved) <= bound / beta + tolerance
+            assert abs(solve_mu_finite(wide, density) - solved) <= bound / beta + tolerance
 
 
 class TestTableDensity:
@@ -215,7 +163,7 @@ class TestTableDensity:
         return density, beta * math.fsum(occupations * (occupations + 1.0)) / table.total_length
 
     def check(self, table, beta):
-        step = thermodynamics._table_density(table, beta)
+        step = thermodynamics._table_density(table)
         ground = table.ground_energy
         for gap in (1e-3, 0.1, 1.0, 10.0):
             density, slope = step(ground - gap / beta)
@@ -229,7 +177,7 @@ class TestTableDensity:
 
     def test_several_blocks_and_a_partial_one(self):
         beta = 0.25
-        table = level_table(sample_poisson_partition(1.0, 6e4, 3), beta)
+        table = build_level_table(sample_poisson_partition(1.0, 6e4, 3), beta)
         blocks, rest = divmod(self.high_levels(table, beta), thermodynamics._MOMENT_BLOCK)
         assert blocks >= 3 and rest > 0
         self.check(table, beta)
@@ -238,13 +186,13 @@ class TestTableDensity:
         # at beta = 1e3 the three ground levels lie within 4/beta of E0 and every second
         # level lies past E0 + 40/beta
         beta = 1e3
-        table = level_table(partition([5.0, 5.0, 4.99]), beta)
+        table = build_level_table(partition([5.0, 5.0, 4.99]), beta)
         assert table.energies.size == 3 and self.high_levels(table, beta) == 0
         self.check(table, beta)
 
     def test_a_one_level_table(self):
         beta = 1e3
-        table = level_table(partition([2.0, 1.0]), beta)
+        table = build_level_table(partition([2.0, 1.0]), beta)
         assert table.energies.tolist() == [(C / 2.0) ** 2]
         self.check(table, beta)
 
@@ -266,9 +214,9 @@ class TestFactoredStep:
     @pytest.mark.parametrize("beta", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_density_and_slope_equal_the_direct_sums(self, beta, seed):
-        table = level_table(sample_poisson_partition(1.0, 1000.0, seed), beta)
+        table = build_level_table(sample_poisson_partition(1.0, 1000.0, seed), beta)
         ground = table.ground_energy
-        step = thermodynamics._table_density(table, beta)
+        step = thermodynamics._table_density(table)
         for mu in [ground * (1.0 - 1e-12), *(ground - self.EXPONENTS / beta)]:
             y = beta * (ground - mu)
             density, slope = step(mu)
@@ -283,7 +231,7 @@ class TestFactoredStep:
 
     @pytest.mark.parametrize("y", [709.79, 745.0, 1e4, math.inf])
     def test_occupations_past_the_overflow_are_exactly_zero(self, y):
-        table = level_table(sample_poisson_partition(1.0, 1000.0, 1), 1.0)
+        table = build_level_table(sample_poisson_partition(1.0, 1000.0, 1), 1.0)
         low = table.energies[table.energies < table.ground_energy + 4.0]
         gaps = _bose_gaps(low - table.ground_energy)
         assert gaps[0] == 0.0 and low.size > 1  # the ground level's A, and others
@@ -336,7 +284,7 @@ class TestLimits:
     def test_density_disorder_average(self):
         lam, beta, mu, box = 1.0, 1.0, -0.5, 5000.0
         vals = [
-            density_finite(sample_poisson_partition(lam, box, (41, t)), beta, mu)
+            density_finite(build_level_table(sample_poisson_partition(lam, box, (41, t)), beta), mu)
             for t in range(40)
         ]
         assert np.mean(vals) == pytest.approx(density_limit(PARAMS, beta, mu), rel=0.02)
@@ -344,7 +292,8 @@ class TestLimits:
     def test_pressure_disorder_average(self):
         lam, beta, mu, box = 1.0, 1.0, -0.5, 5000.0
         vals = [
-            pressure_finite(sample_poisson_partition(lam, box, (43, t)), beta, mu)
+            pressure_finite(build_level_table(sample_poisson_partition(lam, box, (43, t)), beta),
+                            mu)
             for t in range(40)
         ]
         assert np.mean(vals) == pytest.approx(pressure_limit(PARAMS, beta, mu), rel=0.02)
@@ -363,8 +312,7 @@ class TestLimits:
         for box in (500.0, 2000.0, 8000.0):
             vals = [
                 density_finite(
-                    sample_poisson_partition(lam, box, (55, int(box), t)),
-                    beta,
+                    build_level_table(sample_poisson_partition(lam, box, (55, int(box), t)), beta),
                     mu,
                 )
                 for t in range(40)
@@ -448,10 +396,10 @@ class TestIntegrationRange:
 
 class TestMuSolvers:
     def test_finite_round_trip(self):
-        part = sample_poisson_partition(1.0, 800.0, 8)
+        table = build_level_table(sample_poisson_partition(1.0, 800.0, 8), 1.0)
         for rho in (0.05, 0.2, 0.6):
-            mu = solve_mu_finite(part, 1.0, rho)
-            assert density_finite(part, 1.0, mu) == pytest.approx(rho, rel=1e-10)
+            mu = solve_mu_finite(table, rho)
+            assert density_finite(table, mu) == pytest.approx(rho, rel=1e-10)
 
     def test_limit_round_trip_subcritical(self):
         rho = 0.5 * critical_density(PARAMS, 1.0)
@@ -514,7 +462,7 @@ class TestMuSolvers:
         mu_star = solve_mu_limit(PARAMS, beta, rho)
         mus = [
             solve_mu_finite(
-                sample_poisson_partition(lam, 2000.0, (71, t)), beta, rho
+                build_level_table(sample_poisson_partition(lam, 2000.0, (71, t)), beta), rho
             )
             for t in range(50)
         ]
@@ -524,7 +472,7 @@ class TestMuSolvers:
         with pytest.raises(ValueError):
             solve_mu_limit(PARAMS, 1.0, -0.1)
         with pytest.raises(ValueError):
-            solve_mu_finite(partition([1.0]), 1.0, 0.0)
+            solve_mu_finite(build_level_table(partition([1.0]), 1.0), 0.0)
 
     @pytest.mark.parametrize("lam, beta", sorted(PINNED_LIMIT_VALUES))
     def test_critical_density_and_limit_mu_are_pinned(self, lam, beta):
@@ -541,7 +489,7 @@ class TestMuSolvers:
             with pytest.raises(ValueError, match="rho"):
                 solve(PARAMS, 1.0, math.nan)
         with pytest.raises(ValueError, match="rho"):
-            solve_mu_finite(partition([1.0]), 1.0, math.nan)
+            solve_mu_finite(build_level_table(partition([1.0]), 1.0), math.nan)
 
 
 def two_owner_pass(lam, beta, mu):
@@ -710,23 +658,27 @@ class TestCondensate:
     def test_window_below_ground_energy_is_empty(self):
         part = partition([2.0, 1.0, 1.5])
         ground = (C / 2.0) ** 2
-        assert condensate_finite(part, 1.0, 0.5, epsilon=0.5 * ground) == 0.0
+        assert condensate_finite(build_level_table(part, 1.0), 0.5, epsilon=0.5 * ground) == 0.0
 
     def test_window_covering_everything_recovers_rho(self):
         part = sample_poisson_partition(1.0, 300.0, 13)
         rho = 0.4
-        assert condensate_finite(part, 1.0, rho, epsilon=1e9) == pytest.approx(rho, rel=2e-9)
+        table = build_level_table(part, 1.0)
+        assert condensate_finite(table, rho, epsilon=1e9) == pytest.approx(rho, rel=2e-9)
 
-    def test_a_window_above_the_table_cutoff_reads_the_one_table(self):
+    def test_a_window_above_the_table_cutoff_reads_the_one_table(self, monkeypatch):
         # at beta = 200 the table ends at E0 + 0.2 < 1: the window sums that table, and
         # a table cut past the window adds levels that hold under e^-40 of the ground level
         part, beta, rho, epsilon = sample_poisson_partition(1.0, 300.0, 13), 200.0, 0.4, 1.0
         assert (C / part.lengths.max()) ** 2 + TABLE_EXPONENT / beta < epsilon
-        reference = build_level_table(part, TABLE_EXPONENT / epsilon)  # cut at E0 + 1
-        mu = solve_mu_finite(reference, beta, rho)
+        table = build_level_table(part, beta)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectrum, "TABLE_EXPONENT", beta * epsilon)
+            reference = build_level_table(part, beta)  # cut at E0 + 1
+        mu = solve_mu_finite(reference, rho)
         window = reference.energies[reference.energies < epsilon]
         expected = float(_bose_occupations(beta * (window - mu)).sum()) / part.total_length
-        assert condensate_finite(part, beta, rho, epsilon) == pytest.approx(expected, rel=1e-15)
+        assert condensate_finite(table, rho, epsilon) == pytest.approx(expected, rel=1e-15)
 
     def test_wide_interval_partition_captures_the_condensate(self):
         # one 30-length interval among 20000 unit intervals: the window below
@@ -738,7 +690,7 @@ class TestCondensate:
         small_tower = math.fsum(
             1.0 / math.expm1((C * s) ** 2) for s in range(1, 12)
         ) * 20_000 / part.total_length
-        captured = condensate_finite(part, 1.0, rho, epsilon=0.01)
+        captured = condensate_finite(build_level_table(part, 1.0), rho, epsilon=0.01)
         assert captured == pytest.approx(rho - small_tower, rel=0.02)
 
 

@@ -11,10 +11,10 @@ import pytest
 
 from bec1d import (
     C,
+    build_level_table,
     density_finite,
     hierarchical_critical_density,
     kernel_finite,
-    level_table,
     pressure_finite,
     sample_poisson_partition,
     solve_mu_finite,
@@ -73,16 +73,16 @@ class TestFiniteKernelsBitIdentical:
 
     @pytest.mark.parametrize("beta", [0.25, 1.0])
     def test_table_and_observables_equal_the_allocating_expressions(self, beta):
-        table = level_table(self.PART, beta)
+        table = build_level_table(self.PART, beta)
         lengths = level_lengths(table)
         modes = np.rint(lengths * np.sqrt(table.energies) / C)
         np.testing.assert_array_equal(bits(table.energies), bits((C * modes / lengths) ** 2))
-        mu = solve_mu_finite(table, beta, 0.3)
+        mu = solve_mu_finite(table, 0.3)
         x = beta * (table.energies - mu)
-        assert density_finite(table, beta, mu) == (
+        assert density_finite(table, mu) == (
             float(_bose_occupations(x).sum()) / table.total_length)
         logs = np.where(x > np.log(2.0), np.log1p(-np.exp(-x)), np.log(-np.expm1(-x)))
-        assert pressure_finite(table, beta, mu) == (
+        assert pressure_finite(table, mu) == (
             -float(logs.sum()) / (beta * table.total_length))
         for r in (0.0, 2.5, 1e9):
             keep = lengths > r
@@ -90,7 +90,7 @@ class TestFiniteKernelsBitIdentical:
             occ = _bose_occupations(beta * (energies - mu))
             k = np.sqrt(2.0 * energies)
             weights = np.cos(k * r) * (1.0 - r / lens) + np.sin(k * r) / (k * lens)
-            assert kernel_finite(table, beta, mu, r) == (
+            assert kernel_finite(table, mu, r) == (
                 float((occ * weights).sum()) / table.total_length)
 
 
@@ -111,45 +111,45 @@ class TestNoTableSizedTemporaries:
 
     def test_one_finite_mu_newton_step(self):
         beta = 0.25
-        table = level_table(sample_poisson_partition(1.0, 6e4, 3), beta)
+        table = build_level_table(sample_poisson_partition(1.0, 6e4, 3), beta)
         assert table.energies.size >= 200_000
         low = np.count_nonzero(beta * (table.energies - table.ground_energy)
                                < thermodynamics._SPLIT_EXPONENT)
-        step = thermodynamics._table_density(table, beta)
+        step = thermodynamics._table_density(table)
         mu = table.ground_energy - 1.0 / beta
         assert traced_peak_rise(lambda: step(mu)) < low * 8
 
     def test_finite_mu_setup_holds_no_level_sized_float_temporary(self):
         beta = 0.25
-        table = level_table(sample_poisson_partition(1.0, 6e4, 3), beta)
+        table = build_level_table(sample_poisson_partition(1.0, 6e4, 3), beta)
         levels = table.energies.size
         high = np.count_nonzero(table.energies >= table.ground_energy
                                 + thermodynamics._SPLIT_EXPONENT / beta)
         assert 0 < high < levels
         # the two compressed parts, the power work array over the high part and a bool mask
         bound = levels * 8 + high * 8 + levels
-        assert traced_peak_rise(lambda: thermodynamics._table_density(table, beta)) < bound
+        assert traced_peak_rise(lambda: thermodynamics._table_density(table)) < bound
 
     def test_a_kernel_keeping_few_intervals_holds_no_interval_sized_array(self):
         # at r = 10 three intervals of 50k are kept: the intervals longer than r and their
         # mode blocks are found by binary search, without a mask or copy per interval
         beta = 0.25
-        table = level_table(sample_poisson_partition(1.0, 6e4, 3), beta)
-        mu = solve_mu_finite(table, beta, 0.5)
+        table = build_level_table(sample_poisson_partition(1.0, 6e4, 3), beta)
+        mu = solve_mu_finite(table, 0.5)
         assert 0 < np.count_nonzero(table.lengths > 10.0) < 10 < table.lengths.size // 1000
-        kernel_finite(table, beta, mu, 10.0)
-        assert traced_peak_rise(lambda: kernel_finite(table, beta, mu, 10.0)) < table.lengths.size
+        kernel_finite(table, mu, 10.0)
+        assert traced_peak_rise(lambda: kernel_finite(table, mu, 10.0)) < table.lengths.size
 
     def test_small_r_kernel_holds_no_level_sized_float_array(self):
         # at r = 1 most levels are kept, so they pass in several blocks
         beta = 0.25
-        table = level_table(sample_poisson_partition(1.0, 6e4, 3), beta)
-        mu = solve_mu_finite(table, beta, 0.5)
+        table = build_level_table(sample_poisson_partition(1.0, 6e4, 3), beta)
+        mu = solve_mu_finite(table, 0.5)
         lengths = level_lengths(table)
         keep = lengths > 1.0
         assert np.count_nonzero(keep) > 4 * thermodynamics._MOMENT_BLOCK
-        value = kernel_finite(table, beta, mu, 1.0)
-        assert traced_peak_rise(lambda: kernel_finite(table, beta, mu, 1.0)) < table.energies.size * 8
+        value = kernel_finite(table, mu, 1.0)
+        assert traced_peak_rise(lambda: kernel_finite(table, mu, 1.0)) < table.energies.size * 8
         energies, lens = table.energies[keep], lengths[keep]
         k = np.sqrt(2.0 * energies)
         weights = np.cos(k) * (1.0 - 1.0 / lens) + np.sin(k) / (k * lens)
