@@ -25,6 +25,7 @@ from bec1d import (
     solve_mu_limit,
 )
 from kernel_reference import kernel_finite_bruteforce
+from limit_quad_reference import free_kernel_qawo
 from util import kernel_route_bound, partition
 
 PARAMS = ModelParams(1.0)
@@ -282,6 +283,16 @@ class TestFreeKernel:
         for r in (0.0, 0.1, 1.0, 5.0, 20.0, 50.0, 100.0, 200.0):
             exact = free_kernel_gaussian_sum(beta, mu, r, terms)
             assert abs(free_kernel(beta, mu, r) - exact) <= 1e-12 * abs(exact) + 1e-14
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 4.0, 30.0, 1e3])
+    @pytest.mark.parametrize("beta_mu", [-1e-3, -0.01, -0.1, -0.5, -1.0, -3.0, -30.0])
+    def test_agrees_with_the_fourier_cosine_integral(self, beta, beta_mu):
+        # an independent route: QAWO on the Fourier-cosine integral, each side
+        # held to its own 1e-12 relative plus 1e-14 absolute
+        mu = beta_mu / beta
+        for r in (0.0, 0.1, 1.0, 5.0, 20.0, 50.0, 100.0, 200.0):
+            value, oracle = free_kernel(beta, mu, r), free_kernel_qawo(beta, mu, r)
+            assert abs(value - oracle) <= 1e-12 * (abs(value) + abs(oracle)) + 2e-14
 
     @pytest.mark.xfail(strict=True, reason="QAWO's roundoff floor at beta <= 1e-2")
     def test_small_beta_tail_is_below_the_absolute_tolerance(self):
