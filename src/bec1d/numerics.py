@@ -1,7 +1,7 @@
 """Numerical kernels shared by the physics modules: the stable Bose forms,
 the root finder behind every chemical-potential solve, and the batched
-Gauss-Kronrod quadrature behind every smooth limit integral but two (the
-density certificate and the free-gas Fourier kernel stay on scipy's quad).
+Gauss-Kronrod quadrature behind every smooth limit integral but one (the
+density certificate stays on scipy's quad).
 Leading underscores keep the functions out of perfbench's per-layer trace,
 so their time counts toward the calling layer.
 

@@ -23,8 +23,8 @@ exponent is smallest, phi* = 3 (C lam / 2)^(2/3) beta^(1/3), at the peak.
 The range stops at beta q^2 = min(EXP_CUTOFF, phi* + TAIL_EXPONENT) above
 max(mu, 0), where the envelope has fallen e^-60 below its peak: the
 discarded density tail is below 1e-20 of the density. The critical density
-by parts and the free kernel keep their full range, so the by-parts route
-stays an independent check of the cut.
+by parts keeps its full range, so the by-parts route stays an independent
+check of the cut.
 
 The critical density, the limit chemical-potential solve and the limit
 pressure read one limit model per (intensity, beta), built once and cached

@@ -1,6 +1,7 @@
 """Space-averaged kernels, ODLRO, free gas, and decay-rate diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,11 +35,16 @@ PARAMS = ModelParams(1.0)
 def free_kernel_gaussian_sum(beta, mu, r, terms=1200):
     """Heat-kernel series oracle: sum_s e^{beta mu s} (2 pi beta s)^{-1/2} e^{-r^2/(2 beta s)}.
 
-    Every term is positive, so numpy's pairwise sum is exact to ~20 ulp of the total.
+    Every term is positive, so numpy's pairwise sum is exact to ~20 ulp of the
+    total. Blocks of 2^20 terms bound the memory of a long series.
     """
-    s = np.arange(1.0, terms + 1.0)
-    values = np.exp(beta * mu * s - r * r / (2.0 * beta * s)) / np.sqrt(2.0 * np.pi * beta * s)
-    return float(np.sum(values))
+    block = 1 << 20
+    sums = []
+    for first in range(1, terms + 1, block):
+        s = np.arange(float(first), float(min(first + block, terms + 1)))
+        values = np.exp(beta * mu * s - r * r / (2.0 * beta * s)) / np.sqrt(2.0 * np.pi * beta * s)
+        sums.append(float(np.sum(values)))
+    return math.fsum(sums)
 
 
 class TestKernelFinite:
@@ -274,10 +280,10 @@ class TestFreeKernel:
         )
         assert abs(free_kernel(beta, mu, r) - wrong) > 0.02 * wrong
 
-    @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 4.0, 30.0, 1e3])
-    @pytest.mark.parametrize("beta_mu", [-0.01, -0.1, -0.5, -1.0, -3.0, -30.0])
+    @pytest.mark.parametrize("beta", [1e-3, 1e-2, 0.1, 0.5, 1.0, 4.0, 30.0, 1e3])
+    @pytest.mark.parametrize("beta_mu", [-1e-3, -0.01, -0.1, -0.5, -1.0, -3.0, -30.0])
     def test_meets_its_tolerance_against_the_heat_kernel_series(self, beta, beta_mu):
-        # the series to e^{-800} of its first term; QAWO at every r, omega = 0 at r = 0
+        # the series to e^{-800} of its first term
         mu = beta_mu / beta
         terms = math.ceil(800.0 / abs(beta_mu)) + 10
         for r in (0.0, 0.1, 1.0, 5.0, 20.0, 50.0, 100.0, 200.0):
@@ -294,7 +300,6 @@ class TestFreeKernel:
             value, oracle = free_kernel(beta, mu, r), free_kernel_qawo(beta, mu, r)
             assert abs(value - oracle) <= 1e-12 * (abs(value) + abs(oracle)) + 2e-14
 
-    @pytest.mark.xfail(strict=True, reason="QAWO's roundoff floor at beta <= 1e-2")
     def test_small_beta_tail_is_below_the_absolute_tolerance(self):
         # QAWO returns -7.04e-14 here, where the series gives 1.38e-28
         exact = free_kernel_gaussian_sum(1e-3, -1.0, 50.0, math.ceil(800.0 / 1e-3) + 10)
@@ -316,6 +321,28 @@ class TestFreeKernel:
         with pytest.raises(DomainError):
             free_kernel(1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("r", [1e6, 1e200])
+    def test_is_zero_where_every_term_underflows(self, r):
+        # r sqrt(2|mu|) > EXP_CUTOFF; at r = 1e200, r * r overflows, so this
+        # edge must come before the series is set up
+        assert free_kernel(1.0, -0.5, r) == 0.0
+
+    def test_a_series_past_its_cap_raises_before_allocating(self):
+        # 45 / (beta |mu|) = 4.5e7 terms
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="free kernel series length"):
+                free_kernel(1.0, -1e-6, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_a_series_just_under_its_cap_meets_its_tolerance(self):
+        # 45 / (beta |mu|) = 9e5 terms, against 2^20
+        exact = free_kernel_gaussian_sum(1.0, -5e-5, 0.0, math.ceil(800.0 / 5e-5) + 10)
+        assert abs(free_kernel(1.0, -5e-5, 0.0) - exact) <= 1e-12 * abs(exact) + 1e-14
+
 
 class TestDecayRateFit:
     @pytest.mark.parametrize("lam", [1.0, 2.0])
@@ -332,9 +359,13 @@ class TestDecayRateFit:
             assert k <= bound * 1.02
 
     def test_a_window_at_the_roundoff_floor_raises(self):
-        # past r ~ 40 both kernels are roundoff at mu = -0.5; their ratio has no slope
+        # past r ~ 40 the limit kernel is roundoff at mu = -0.5; the free kernel,
+        # a sum of positive terms, keeps its relative accuracy there
         assert kernel_limit(PARAMS, 1.0, -0.5, 40.0) <= 0.0
-        assert free_kernel(1.0, -0.5, 60.0) <= 0.0
+        value = free_kernel(1.0, -0.5, 60.0)
+        exact = free_kernel_gaussian_sum(1.0, -0.5, 60.0, math.ceil(800.0 / 0.5) + 10)
+        assert value > 0.0
+        assert abs(value - exact) <= 1e-12 * exact + 1e-14
         with pytest.raises(ConvergenceError, match="non-positive kernel value at r=40"):
             decay_rate_fit(PARAMS, 1.0, -0.5, (40.0, 60.0))
 

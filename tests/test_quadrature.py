@@ -1,8 +1,8 @@
 """The batched Gauss-Kronrod quadrature behind the smooth limit integrals.
 
-Only density_limit, the certificate of the limit mu solve, and free_kernel,
-a Fourier-cosine integral for QUADPACK's QAWO, call scipy's quad; a source
-scan keeps it so.
+Only density_limit, the certificate of the limit mu solve, calls scipy's
+quad, only thermodynamics imports scipy, and no module silences warnings; a
+source scan keeps it so.
 """
 
 import ast
@@ -160,9 +160,9 @@ class TestKnotPanels:
         assert [type(v) for v in both] == [float, float]
 
 
-def test_quad_runs_only_the_certificate_and_the_fourier_kernel():
+def test_quad_runs_only_the_certificate_and_no_module_imports_warnings():
     package = pathlib.Path(bec1d.__file__).parent
-    callers, scipy_importers = [], []
+    callers, scipy_importers, warnings_importers = [], [], []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for func in tree.body:
@@ -172,13 +172,17 @@ def test_quad_runs_only_the_certificate_and_the_fourier_kernel():
                     if isinstance(node, ast.Call)
                     and getattr(node.func, "id", getattr(node.func, "attr", None)) == "quad"
                 ]
-        scipy_importers += [
-            path.stem for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy")
-            or isinstance(node, ast.Import) and any(a.name.startswith("scipy") for a in node.names)
+        modules = [
+            name for node in ast.walk(tree)
+            for name in ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                         else [a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [])
         ]
-    assert callers == ["correlations.free_kernel", "thermodynamics.density_limit"]
-    assert sorted(set(scipy_importers)) == ["correlations", "thermodynamics"]
+        scipy_importers += [path.stem for name in modules if name.split(".")[0] == "scipy"]
+        warnings_importers += [path.stem for name in modules if name == "warnings"]
+    assert callers == ["thermodynamics.density_limit"]
+    assert sorted(set(scipy_importers)) == ["thermodynamics"]
+    assert warnings_importers == []
 
 
 def test_one_function_holds_the_error_estimate():
